@@ -147,19 +147,14 @@ class FigureJson
 
 /**
  * Shared sweep front-end for the figure drivers: parses (and strips)
- * `--jobs=N` and `--threads=N` from argv before the positional scale
- * argument is read, and fans submitted runs across a sim::SweepRunner.
- * Jobs defaults to the hardware concurrency; `--jobs=1` executes
- * inline, serially. `--threads=N` sets each submitted System's
- * intra-run tick-engine width (SystemConfig::threads) and composes
- * with `--jobs`: jobs parallelism is across independent runs, threads
- * parallelism is inside each run, and both preserve bit-identical
- * results.
+ * `--jobs=N` from argv before the positional scale argument is read,
+ * and fans submitted runs across a sim::SweepRunner. Jobs defaults to
+ * the hardware concurrency; `--jobs=1` executes inline, serially.
  *
  * Drivers enqueue every run of a figure first and then collect the
  * futures in submission order, so stdout and `--json=FILE` output are
- * byte-identical at any jobs/threads level (each run is an
- * independent, seeded System; see sim/sweep_runner.hh).
+ * byte-identical at any jobs level (each run is an independent,
+ * seeded System; see sim/sweep_runner.hh).
  */
 class Sweep
 {
@@ -172,8 +167,6 @@ class Sweep
             const std::string_view arg = argv[i];
             if (arg.rfind("--jobs=", 0) == 0)
                 jobs = std::atoi(arg.data() + 7);
-            else if (arg.rfind("--threads=", 0) == 0)
-                threads_ = std::atoi(arg.data() + 10);
             else
                 argv[keep++] = argv[i];
         }
@@ -183,7 +176,6 @@ class Sweep
     }
 
     int jobs() const { return runner_->jobs(); }
-    int threads() const { return threads_; }
     sim::SweepRunner &runner() { return *runner_; }
 
     /** Enqueue one run; collect the future in submission order. */
@@ -191,9 +183,7 @@ class Sweep
     run(const sim::SystemConfig &cfg, const workload::AppProfile &app,
         double scale)
     {
-        sim::SystemConfig c = cfg;
-        c.threads = threads_;
-        return runner_->submit(sim::SweepJob{c, app, scale});
+        return runner_->submit(sim::SweepJob{cfg, app, scale});
     }
 
     /** Enqueue one run and keep its System for inspection. */
@@ -201,14 +191,11 @@ class Sweep
     runKeep(const sim::SystemConfig &cfg, const workload::AppProfile &app,
             double scale)
     {
-        sim::SystemConfig c = cfg;
-        c.threads = threads_;
-        return runner_->submitKeep(sim::SweepJob{c, app, scale});
+        return runner_->submitKeep(sim::SweepJob{cfg, app, scale});
     }
 
   private:
     std::unique_ptr<sim::SweepRunner> runner_;
-    int threads_ = 1; //!< per-run tick-engine width; 0 = host CPUs
 };
 
 /** Run one application on one system configuration, synchronously. */

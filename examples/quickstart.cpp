@@ -31,13 +31,11 @@ namespace {
 
 sim::RunResult
 runOnce(int cores, sim::NetKind kind, const workload::AppProfile &app,
-        std::uint64_t seed, int threads,
-        const obs::CliOptions *opts = nullptr)
+        std::uint64_t seed, const obs::CliOptions *opts = nullptr)
 {
     sim::SystemConfig cfg = sim::SystemConfig::paperConfig(cores, kind);
     if (seed != 0)
         cfg.seed = seed;
-    cfg.threads = threads;
     sim::System system(cfg);
     system.loadApp(app);
     if (!opts)
@@ -68,11 +66,10 @@ main(int argc, char **argv)
                 app.name.c_str());
 
     const auto mesh = runOnce(cores, sim::NetKind::Mesh, app,
-                              obs_opts.seed, obs_opts.threads);
+                              obs_opts.seed);
     // The stats knobs instrument the run of interest: the FSOI one.
     const auto fsoi_run = runOnce(cores, sim::NetKind::Fsoi, app,
-                                  obs_opts.seed, obs_opts.threads,
-                                  &obs_opts);
+                                  obs_opts.seed, &obs_opts);
 
     std::printf("%-28s %12s %12s\n", "", "mesh", "FSOI");
     std::printf("%-28s %12llu %12llu\n", "execution cycles",

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -23,42 +22,21 @@
 namespace fsoi::coherence {
 
 /**
- * Sparse 64-bit word store shared by every core in a System.
- *
- * Under the parallel tick engine, L1s and directories on different
- * shards touch the store concurrently, so the System enables the
- * internal lock (guarding the container against rehash races). The
- * values themselves stay deterministic without any ordering help:
- * MESI exclusivity serializes same-word write/read pairs at the
- * protocol level, and same-cycle accesses to different words commute.
+ * Sparse 64-bit word store shared by every core in a System. A System
+ * runs on one thread, so the store needs no locking; concurrent sweep
+ * runs each own their System and with it their own store.
  */
 class FunctionalMemory
 {
   public:
-    /** Turn on internal locking (threaded runs only; serial runs keep
-     *  the lock-free fast path). */
-    void enableLocking(bool on) { locked_ = on; }
-
     std::uint64_t
     read(Addr addr) const
     {
-        if (locked_) {
-            std::lock_guard<std::mutex> guard(mutex_);
-            return readUnlocked(addr);
-        }
-        return readUnlocked(addr);
+        const auto it = words_.find(addr);
+        return it == words_.end() ? 0 : it->second;
     }
 
-    void
-    write(Addr addr, std::uint64_t value)
-    {
-        if (locked_) {
-            std::lock_guard<std::mutex> guard(mutex_);
-            words_[addr] = value;
-            return;
-        }
-        words_[addr] = value;
-    }
+    void write(Addr addr, std::uint64_t value) { words_[addr] = value; }
 
     void clear() { words_.clear(); }
 
@@ -82,16 +60,7 @@ class FunctionalMemory
     }
 
   private:
-    std::uint64_t
-    readUnlocked(Addr addr) const
-    {
-        const auto it = words_.find(addr);
-        return it == words_.end() ? 0 : it->second;
-    }
-
     std::unordered_map<Addr, std::uint64_t> words_;
-    mutable std::mutex mutex_;
-    bool locked_ = false;
 };
 
 } // namespace fsoi::coherence

@@ -239,13 +239,6 @@ FsoiNetwork::canAccept(NodeId src, PacketClass cls) const
 }
 
 int
-FsoiNetwork::sendBudget(NodeId src, PacketClass cls) const
-{
-    return config_.queue_capacity
-        - static_cast<int>(lane(src, cls).queue.size());
-}
-
-int
 FsoiNetwork::windowSlots(int retry) const
 {
     const double w = config_.backoff_window

@@ -61,13 +61,6 @@ IdealNetwork::canAccept(NodeId src, PacketClass cls) const
         < static_cast<std::size_t>(config_.queue_capacity);
 }
 
-int
-IdealNetwork::sendBudget(NodeId src, PacketClass cls) const
-{
-    return config_.queue_capacity
-        - static_cast<int>(lane(src, cls).queue.size());
-}
-
 bool
 IdealNetwork::send(Packet &&pkt)
 {

@@ -437,15 +437,6 @@ MeshNetwork::canAccept(NodeId src, PacketClass cls) const
         < static_cast<std::size_t>(config_.inject_queue_capacity);
 }
 
-int
-MeshNetwork::sendBudget(NodeId src, PacketClass cls) const
-{
-    const auto &lane =
-        injectors_[src].lanes[static_cast<int>(cls)];
-    return config_.inject_queue_capacity
-        - static_cast<int>(lane.queue.size());
-}
-
 bool
 MeshNetwork::send(Packet &&pkt)
 {

@@ -84,7 +84,6 @@ class MeshNetwork : public Network
 
     bool send(Packet &&pkt) override;
     bool canAccept(NodeId src, PacketClass cls) const override;
-    int sendBudget(NodeId src, PacketClass cls) const override;
     void tick(Cycle now) override;
     bool idle() const override;
 

@@ -194,18 +194,6 @@ class Network
     /** True when the source can currently accept a packet of @p cls. */
     virtual bool canAccept(NodeId src, PacketClass cls) const = 0;
 
-    /**
-     * How many more packets of @p cls the source could send() this
-     * cycle before canAccept() turns false. The parallel tick engine
-     * admits staged sends against this budget so a shard sees the same
-     * backpressure mid-cycle that the serial loop sees at send time.
-     */
-    virtual int
-    sendBudget(NodeId src, PacketClass cls) const
-    {
-        return canAccept(src, cls) ? 1 : 0;
-    }
-
     /** Advance one cycle; delivers due packets through the handlers. */
     virtual void tick(Cycle now) = 0;
 

@@ -1,5 +1,7 @@
 #include "obs/cli.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -19,6 +21,23 @@ matchValue(const char *arg, const char *name)
     return nullptr;
 }
 
+/**
+ * Strict positive integer for flag @p name: strtoull over the whole
+ * value, no sign, no suffix, no overflow, nonzero. Dies naming the
+ * flag otherwise, so "--checkpoint-every=1e6" cannot mean 1.
+ */
+std::uint64_t
+parsePositive(const char *name, const char *v)
+{
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t n = std::strtoull(v, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0'
+        || errno == ERANGE || n == 0)
+        fatal("%s wants a positive integer, got '%s'", name, v);
+    return n;
+}
+
 } // namespace
 
 CliOptions
@@ -33,33 +52,15 @@ parseCliOptions(int &argc, char **argv)
         } else if (const char *v2 = matchValue(arg, "--stats-csv")) {
             opts.stats_csv = v2;
         } else if (const char *v3 = matchValue(arg, "--stats-interval")) {
-            const long n = std::atol(v3);
-            if (n <= 0)
-                fatal("--stats-interval wants a positive cycle count, "
-                      "got '%s'", v3);
-            opts.stats_interval = static_cast<Cycle>(n);
+            opts.stats_interval = parsePositive("--stats-interval", v3);
         } else if (const char *v4 = matchValue(arg, "--seed")) {
-            char *end = nullptr;
-            opts.seed = std::strtoull(v4, &end, 0);
-            if (end == v4 || *end != '\0' || opts.seed == 0)
-                fatal("--seed wants a positive integer, got '%s'", v4);
-        } else if (const char *v5 = matchValue(arg, "--threads")) {
-            char *end = nullptr;
-            const long n = std::strtol(v5, &end, 0);
-            if (end == v5 || *end != '\0' || n < 0)
-                fatal("--threads wants a non-negative integer, got '%s'",
-                      v5);
-            opts.threads = static_cast<int>(n);
-        } else if (const char *v6 = matchValue(arg, "--checkpoint")) {
-            opts.checkpoint = v6;
-        } else if (const char *v7 = matchValue(arg, "--restore")) {
-            opts.restore = v7;
-        } else if (const char *v8 = matchValue(arg, "--checkpoint-every")) {
-            const long n = std::atol(v8);
-            if (n <= 0)
-                fatal("--checkpoint-every wants a positive cycle count, "
-                      "got '%s'", v8);
-            opts.checkpoint_every = static_cast<Cycle>(n);
+            opts.seed = parsePositive("--seed", v4);
+        } else if (const char *v5 = matchValue(arg, "--checkpoint")) {
+            opts.checkpoint = v5;
+        } else if (const char *v6 = matchValue(arg, "--restore")) {
+            opts.restore = v6;
+        } else if (const char *v7 = matchValue(arg, "--checkpoint-every")) {
+            opts.checkpoint_every = parsePositive("--checkpoint-every", v7);
         } else if (std::strcmp(arg, "--stats") == 0) {
             opts.stats_text = true;
         } else {

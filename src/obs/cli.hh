@@ -13,9 +13,6 @@
  *                         RNG stream (cores, FSOI backoff, fault
  *                         schedules) follows from it, so runs are
  *                         reproducible from the command line
- *   --threads=N           intra-run tick-engine worker threads
- *                         (SystemConfig::threads); 0 = one per host
- *                         CPU. Results are bit-identical at any N.
  *   --checkpoint=FILE     periodic hash-verified checkpoint file
  *                         (System::setCheckpoint); pair with
  *                         --checkpoint-every=N (cycles, default
@@ -23,6 +20,11 @@
  *   --restore=FILE        restore a checkpoint before running; the
  *                         resumed run is bit-identical to the
  *                         uninterrupted one
+ *
+ * The numeric flags (--seed, --stats-interval, --checkpoint-every)
+ * take a positive integer written out in full: decimal, or 0x hex /
+ * leading-0 octal as strtoull reads them. Anything else — "1e6",
+ * "10k", "-5", an empty value, zero — is a fatal error naming the flag.
  *
  * Tracing is configured through the environment (FSOI_TRACE /
  * FSOI_TRACE_FILE), not argv, so it works identically under ctest,
@@ -46,7 +48,6 @@ struct CliOptions
     Cycle stats_interval = 0; //!< 0 = end-of-run dump only
     bool stats_text = false;
     std::uint64_t seed = 0;   //!< 0 = keep the config's default seed
-    int threads = 1;          //!< tick-engine threads; 0 = host CPUs
 
     std::string checkpoint;   //!< empty = no periodic checkpoints
     std::string restore;      //!< empty = fresh run
@@ -57,9 +58,10 @@ struct CliOptions
 };
 
 /**
- * Strip recognized --stats-* flags out of argv (compacting it in
- * place and updating argc) and return the parsed options, so the
- * caller's positional-argument handling is unaffected.
+ * Strip the recognized flags above out of argv (compacting it in
+ * place, keeping the rest in order, and updating argc) and return the
+ * parsed options, so the caller's positional-argument handling is
+ * unaffected.
  */
 CliOptions parseCliOptions(int &argc, char **argv);
 

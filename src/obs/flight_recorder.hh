@@ -12,8 +12,8 @@
  * A disabled recorder (capacity 0) costs one branch per call site.
  *
  * Ownership mirrors StatRegistry: each System owns one recorder and
- * its components record into it from the System's worker thread, so
- * the hot path is lock-free. A small process-global registry of live
+ * its components record into it from the one thread that runs that
+ * System, so the hot path is lock-free. A small process-global registry of live
  * recorders (mutex-protected, touched only at construction, teardown
  * and crash time) lets the crash hooks dump every active run's state
  * with dumpAllOnCrash(); that path is best-effort by design — it runs
@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <ostream>
 #include <vector>
 
@@ -87,15 +86,6 @@ class FlightRecorder
     std::uint64_t recorded() const { return recorded_; }
     std::size_t inflightCount() const { return inflightCount_; }
 
-    /**
-     * Turn on internal locking for threaded runs, where shard workers
-     * record concurrently. Interleaving of same-cycle events from
-     * different shards becomes host-schedule dependent — acceptable
-     * for a post-mortem diagnostic ring, which never feeds back into
-     * simulation state or stats.
-     */
-    void enableLocking(bool on) { locked_ = on; }
-
     /** Record one event. Call sites guard with enabled(). */
     void
     record(FlightEventKind kind, Cycle cycle, NodeId node, NodeId peer,
@@ -103,12 +93,16 @@ class FlightRecorder
     {
         if (ring_.empty())
             return;
-        if (locked_) {
-            std::lock_guard<std::mutex> guard(mutex_);
-            recordUnlocked(kind, cycle, node, peer, line, detail);
-            return;
-        }
-        recordUnlocked(kind, cycle, node, peer, line, detail);
+        FlightEvent &e = ring_[recorded_ & mask_];
+        e.cycle = cycle;
+        e.line = line;
+        e.node = node;
+        e.peer = peer;
+        e.kind = kind;
+        e.detail = detail;
+        ++recorded_;
+        if (cycle > lastCycle_)
+            lastCycle_ = cycle;
     }
 
     /**
@@ -200,30 +194,12 @@ class FlightRecorder
     static std::uint8_t keyClass(FlightEventKind kind);
     void writeEventJson(std::ostream &os, const FlightEvent &e) const;
 
-    void
-    recordUnlocked(FlightEventKind kind, Cycle cycle, NodeId node,
-                   NodeId peer, Addr line, std::uint8_t detail)
-    {
-        FlightEvent &e = ring_[recorded_ & mask_];
-        e.cycle = cycle;
-        e.line = line;
-        e.node = node;
-        e.peer = peer;
-        e.kind = kind;
-        e.detail = detail;
-        ++recorded_;
-        if (cycle > lastCycle_)
-            lastCycle_ = cycle;
-    }
-
     std::vector<FlightEvent> ring_;
     std::uint64_t recorded_ = 0;
     std::uint64_t mask_ = 0; //!< ring_.size() - 1 (size is a power of 2)
     std::vector<TableSlot> slots_; //!< power-of-two open-addressed table
     std::size_t inflightCount_ = 0;
     Cycle lastCycle_ = 0; //!< newest cycle seen (for crash dumps)
-    mutable std::mutex mutex_;
-    bool locked_ = false;
     DetailNamer namer_;
     ContextWriter context_;
 };

@@ -15,7 +15,6 @@ tickPhaseName(TickPhase phase)
       case TickPhase::Directory: return "directory";
       case TickPhase::L1: return "l1";
       case TickPhase::Core: return "core";
-      case TickPhase::Components: return "components";
       case TickPhase::Sched: return "sched";
       case TickPhase::kCount: break;
     }

@@ -14,8 +14,8 @@ StatRegistry::add(Entry entry)
 {
     assertSingleThread();
     FSOI_ASSERT(!entry.name.empty(), "stat registered without a name");
-    FSOI_ASSERT(find(entry.name) == nullptr, "duplicate stat name '%s'",
-                entry.name.c_str());
+    FSOI_ASSERT(names_.insert(entry.name).second,
+                "duplicate stat name '%s'", entry.name.c_str());
     entries_.push_back(std::move(entry));
 }
 

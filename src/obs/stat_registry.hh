@@ -30,6 +30,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,12 @@ class StatRegistry
     }
 
     std::vector<Entry> entries_;
+    /**
+     * Every registered name, for add()'s duplicate check. A 64-core
+     * System registers thousands of stats; a find() scan per add()
+     * would make its construction quadratic in the stat count.
+     */
+    std::unordered_set<std::string> names_;
 #ifndef NDEBUG
     mutable std::thread::id owner_;
 #endif

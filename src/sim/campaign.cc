@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace fsoi::sim {
 
@@ -377,9 +376,10 @@ CampaignRunner::run(std::vector<CampaignPoint> points)
         FSOI_ASSERT(!p.name.empty(), "campaign points need names");
 
     // Decide every point's fate from the journal before any new work
-    // runs, then fan the live runs out over the pool. Outcomes are
-    // collected in point order, so the vector (and any report built
-    // from it) is independent of the worker count.
+    // runs, then post the live runs through a SweepRunner (inline at
+    // jobs=1). Outcomes are collected in point order, so the vector
+    // (and any report built from it) is independent of the worker
+    // count.
     struct Plan
     {
         const CampaignPoint *point;
@@ -411,26 +411,16 @@ CampaignRunner::run(std::vector<CampaignPoint> points)
     }
 
     std::vector<CampaignOutcome> outcomes(points.size());
-    const int jobs =
-        config_.jobs == 1 ? 1 : common::resolveJobs(config_.jobs);
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < plans.size(); ++i)
-            outcomes[i] = plans[i].attempt == 0
-                              ? std::move(plans[i].ready)
-                              : runPoint(*plans[i].point,
-                                         plans[i].attempt);
-        return outcomes;
-    }
-
-    common::ThreadPool pool(jobs);
+    SweepRunner runner(config_.jobs);
     std::vector<std::pair<std::size_t, std::future<CampaignOutcome>>> live;
     for (std::size_t i = 0; i < plans.size(); ++i) {
-        if (plans[i].attempt == 0) {
-            outcomes[i] = std::move(plans[i].ready);
+        Plan &plan = plans[i];
+        if (plan.attempt == 0) {
+            outcomes[i] = std::move(plan.ready);
             continue;
         }
-        live.emplace_back(i, pool.submit([this, &plans, i] {
-            return runPoint(*plans[i].point, plans[i].attempt);
+        live.emplace_back(i, runner.post([this, &plan] {
+            return runPoint(*plan.point, plan.attempt);
         }));
     }
     for (auto &[i, fut] : live)

@@ -53,7 +53,7 @@ struct CampaignConfig
     Cycle checkpoint_every = 500'000; //!< per-point checkpoint period
     int max_attempts = 3;             //!< quarantine threshold
     Cycle warmup_cycles = 0;          //!< 0 = no warm-state reuse
-    int jobs = 1;                     //!< worker processes' thread pool
+    int jobs = 1;                     //!< worker threads; 0 = host CPUs
 };
 
 /** What one point contributed to the consolidated report. */

@@ -28,14 +28,7 @@ SweepRunner::runJob(SweepJob job, bool keep_system)
 std::future<RunResult>
 SweepRunner::submit(SweepJob job)
 {
-    if (!pool_) {
-        // Inline: runs now, on this thread, in submission order —
-        // trivially identical to the pre-pool serial drivers.
-        std::promise<RunResult> done;
-        done.set_value(runJob(std::move(job), false).result);
-        return done.get_future();
-    }
-    return pool_->submit([job = std::move(job)]() mutable {
+    return post([job = std::move(job)]() mutable {
         return runJob(std::move(job), false).result;
     });
 }
@@ -43,12 +36,7 @@ SweepRunner::submit(SweepJob job)
 std::future<SweepOutcome>
 SweepRunner::submitKeep(SweepJob job)
 {
-    if (!pool_) {
-        std::promise<SweepOutcome> done;
-        done.set_value(runJob(std::move(job), true));
-        return done.get_future();
-    }
-    return pool_->submit([job = std::move(job)]() mutable {
+    return post([job = std::move(job)]() mutable {
         return runJob(std::move(job), true);
     });
 }

@@ -2,7 +2,9 @@
  * @file
  * Parallel sweep execution: every figure in the paper's evaluation is
  * a set of independent (SystemConfig, application, scale) points, so
- * they fan out across a worker pool, one whole System per task.
+ * they fan out across a worker pool, one whole System per task. This
+ * is the simulator's only parallelism: a System itself always runs on
+ * one thread. CampaignRunner posts its points through the same pool.
  *
  * Determinism: a System is constructed, loaded and run entirely inside
  * one worker, shares nothing with other runs (stats registries, pools
@@ -10,7 +12,7 @@
  * and single-threaded — so a point's RunResult is a pure function of
  * its job, independent of the worker count. Callers that collect
  * futures in submission order therefore produce byte-identical output
- * at any --jobs level, including the inline jobs<=1 path.
+ * at any --jobs level, including the inline jobs=1 path.
  */
 
 #ifndef FSOI_SIM_SWEEP_RUNNER_HH
@@ -18,6 +20,7 @@
 
 #include <future>
 #include <memory>
+#include <type_traits>
 
 #include "common/thread_pool.hh"
 #include "sim/system.hh"
@@ -51,6 +54,22 @@ class SweepRunner
     SweepRunner &operator=(const SweepRunner &) = delete;
 
     int jobs() const { return jobs_; }
+
+    /**
+     * Run task @p fn and return the future of its result: on the pool
+     * when jobs > 1, else inline — now, on this thread, in submission
+     * order (an exception then propagates from post() itself).
+     */
+    template <typename F>
+    auto
+    post(F &&fn) -> std::future<std::invoke_result_t<F>>
+    {
+        if (pool_)
+            return pool_->submit(std::forward<F>(fn));
+        std::promise<std::invoke_result_t<F>> done;
+        done.set_value(fn());
+        return done.get_future();
+    }
 
     /** Enqueue a run; the future yields its RunResult. */
     std::future<RunResult> submit(SweepJob job);

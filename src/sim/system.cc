@@ -3,14 +3,10 @@
 #include <cstdlib>
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <bit>
-#include <future>
 
 #include "analytic/backoff_model.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "obs/crash.hh"
 #include "obs/watchdog.hh"
@@ -24,7 +20,7 @@ using noc::PacketClass;
 
 namespace {
 
-/** Set component @p idx's bit in a shard-owned wake bitmap. */
+/** Set component @p idx's bit in a wake bitmap. */
 inline void
 setWakeBit(std::vector<std::uint64_t> &words, int idx)
 {
@@ -106,21 +102,15 @@ class System::LocalTransport : public coherence::Transport
     trySend(NodeId src, NodeId dst, const Message &msg) override
     {
         if (src == dst) {
-            // Same-node messages stay on the sender's shard, so this
-            // queue is shard-private at any thread count.
-            sys_.shards_[sys_.nodeShard_[src]].localQueue.push_back(
-                LocalMsg{
-                    sys_.now_
-                        + static_cast<Cycle>(
-                            sys_.config_.local_hop_latency),
-                    dst, msg});
+            sys_.localQueue_.push_back(LocalMsg{
+                sys_.now_
+                    + static_cast<Cycle>(sys_.config_.local_hop_latency),
+                dst, msg});
             recordSend(src, dst, msg);
             return true;
         }
         const PacketClass cls = coherence::isDataMessage(msg.type)
             ? PacketClass::Data : PacketClass::Meta;
-        if (sys_.staging_)
-            return stageSend(src, dst, cls, msg);
         if (!sys_.network_->canAccept(src, cls)) {
             FSOI_TRACE_POINT(TraceCat::Sim, 3, "send_blocked",
                              sys_.now_, src, {"line", msg.line},
@@ -138,41 +128,6 @@ class System::LocalTransport : public coherence::Transport
     }
 
   private:
-    /**
-     * Threaded component phase: capture the send on the source's
-     * shard instead of touching the (serial-only) network. Admission
-     * is checked against the network's remaining send budget so a
-     * shard sees exactly the backpressure the serial loop would see
-     * at its send's position in the canonical order. Packets the mesh
-     * would drop as unroutable never occupy queue space in the serial
-     * loop either, so they are staged without consuming budget; the
-     * merge-time send() performs the actual drop + count.
-     */
-    bool
-    stageSend(NodeId src, NodeId dst, PacketClass cls,
-              const Message &msg)
-    {
-        const std::size_t slot = static_cast<std::size_t>(src) * 2
-            + static_cast<int>(cls);
-        const int budget = sys_.network_->sendBudget(src, cls);
-        if (static_cast<int>(sys_.stagedCount_[slot]) >= budget) {
-            FSOI_TRACE_POINT(TraceCat::Sim, 3, "send_blocked",
-                             sys_.now_, src, {"line", msg.line},
-                             {"type",
-                              static_cast<std::uint64_t>(msg.type)});
-            return false;
-        }
-        const bool drop = sys_.meshNet_ && sys_.fault_
-            && !sys_.meshNet_->reachable(src, dst);
-        if (!drop)
-            ++sys_.stagedCount_[slot];
-        Shard &shard = sys_.shards_[sys_.nodeShard_[src]];
-        shard.staged[shard.bucket].push_back(
-            StagedSend{src, dst, cls, msg});
-        recordSend(src, dst, msg);
-        return true;
-    }
-
     void
     recordSend(NodeId src, NodeId dst, const Message &msg)
     {
@@ -183,7 +138,6 @@ class System::LocalTransport : public coherence::Transport
         }
     }
 
-  private:
     System &sys_;
 };
 
@@ -279,54 +233,20 @@ System::System(const SystemConfig &config)
             node, config_.mem, *transport_));
     }
 
-    // Spatial partition for the tick engine: contiguous tile and
-    // memory-controller ranges per shard, balanced to within one.
-    // threads=1 degenerates to a single shard on the main thread.
-    threads_ = std::max(
-        1, std::min(common::resolveJobs(config_.threads),
-                    config_.num_cores));
-    const int num_tiles = config_.num_cores;
-    const int num_mems = config_.num_memctls;
-    const int tile_words = (num_tiles + 63) / 64;
-    const int mem_words = (num_mems + 63) / 64;
-    nodeShard_.assign(
-        static_cast<std::size_t>(layout_.numEndpoints()), 0);
-    shards_.resize(static_cast<std::size_t>(threads_));
-    for (int s = 0; s < threads_; ++s) {
-        Shard &shard = shards_[static_cast<std::size_t>(s)];
-        shard.tile_begin = s * num_tiles / threads_;
-        shard.tile_end = (s + 1) * num_tiles / threads_;
-        shard.mem_begin = s * num_mems / threads_;
-        shard.mem_end = (s + 1) * num_mems / threads_;
-        shard.memWake.assign(static_cast<std::size_t>(mem_words), 0);
-        shard.dirWake.assign(static_cast<std::size_t>(tile_words), 0);
-        shard.l1Wake.assign(static_cast<std::size_t>(tile_words), 0);
-        shard.coreWake.assign(static_cast<std::size_t>(tile_words), 0);
-        for (int n = shard.tile_begin; n < shard.tile_end; ++n)
-            nodeShard_[static_cast<std::size_t>(n)] = s;
-        for (int m = shard.mem_begin; m < shard.mem_end; ++m)
-            nodeShard_[static_cast<std::size_t>(num_tiles + m)] = s;
-    }
-    stagedCount_.assign(
-        static_cast<std::size_t>(layout_.numEndpoints()) * 2, 0);
+    const auto tile_words =
+        static_cast<std::size_t>((config_.num_cores + 63) / 64);
+    memWake_.assign(
+        static_cast<std::size_t>((config_.num_memctls + 63) / 64), 0);
+    dirWake_.assign(tile_words, 0);
+    l1Wake_.assign(tile_words, 0);
+    coreWake_.assign(tile_words, 0);
 
     // A sleeping core has no scheduled wake while it waits on a
     // delivery (completion callback or control bit); the hook queues
     // it for the core phase of the cycle the delivery lands in —
     // exactly the cycle the tick-every-cycle engine re-examined it.
-    for (int n = 0; n < config_.num_cores; ++n) {
-        cores_[n]->setWakeHook([this, n] {
-            setWakeBit(
-                shards_[static_cast<std::size_t>(nodeShard_[n])].coreWake,
-                n);
-        });
-    }
-    if (threads_ > 1) {
-        // Shared-by-design structures get their internal locks; both
-        // are off the determinism-relevant path (see their headers).
-        funcMem_.enableLocking(true);
-        flightRec_.enableLocking(true);
-    }
+    for (int n = 0; n < config_.num_cores; ++n)
+        cores_[n]->setWakeHook([this, n] { setWakeBit(coreWake_, n); });
 
     wireNetworkHandlers();
     registerStats();
@@ -424,10 +344,7 @@ System::registerStats()
     // simulation state.
     const obs::Scope sched = host.scope("sched");
     sched.derived("events_dispatched", [this] {
-        std::uint64_t total = 0;
-        for (const auto &shard : shards_)
-            total += shard.eventsDispatched;
-        return static_cast<double>(total);
+        return static_cast<double>(eventsDispatched_);
     });
     sched.derived("cycles_executed", [this] {
         return static_cast<double>(schedExecuted_);
@@ -501,12 +418,11 @@ System::routeMessage(NodeId dst, const Message &msg)
     // handleMessage sees the clock it always saw. The wake bit queues
     // the target for ticking from here on (until it idles again).
     const Cycle sync = now_ ? now_ - 1 : 0;
-    Shard &shard = shards_[nodeShard_[dst]];
     if (static_cast<int>(dst) >= config_.num_cores) {
         const int m = static_cast<int>(dst) - config_.num_cores;
         memctls_[m]->syncClock(sync);
         memctls_[m]->handleMessage(msg);
-        setWakeBit(shard.memWake, m);
+        setWakeBit(memWake_, m);
         return;
     }
     switch (msg.type) {
@@ -528,7 +444,7 @@ System::routeMessage(NodeId dst, const Message &msg)
       case MsgType::MemReply:
         dirs_[dst]->syncClock(sync);
         dirs_[dst]->handleMessage(msg);
-        setWakeBit(shard.dirWake, static_cast<int>(dst));
+        setWakeBit(dirWake_, static_cast<int>(dst));
         return;
       case MsgType::DataS:
       case MsgType::DataE:
@@ -539,7 +455,7 @@ System::routeMessage(NodeId dst, const Message &msg)
       case MsgType::Nack:
         l1s_[dst]->syncClock(sync);
         l1s_[dst]->handleMessage(msg);
-        setWakeBit(shard.l1Wake, static_cast<int>(dst));
+        setWakeBit(l1Wake_, static_cast<int>(dst));
         return;
       default:
         panic("unroutable message %s to node %u",
@@ -567,8 +483,7 @@ System::wireNetworkHandlers()
             // during the network tick, before the directory's phase.
             dirs_[node]->syncClock(now_ ? now_ - 1 : 0);
             dirs_[node]->onConfirm(pkt.payloadAs<Message>());
-            setWakeBit(shards_[nodeShard_[node]].dirWake,
-                       static_cast<int>(node));
+            setWakeBit(dirWake_, static_cast<int>(node));
         });
         fsoiNet_->setControlBitHandler(
             node, [this, node](NodeId, std::uint64_t tag) {
@@ -576,11 +491,6 @@ System::wireNetworkHandlers()
             });
         dirs_[n]->setControlBitSender(
             [this, node](NodeId dst, std::uint64_t tag) {
-                if (staging_) {
-                    shards_[nodeShard_[node]].stagedBits.push_back(
-                        StagedBit{node, dst, tag});
-                    return;
-                }
                 fsoiNet_->sendControlBit(node, dst, tag);
             });
     }
@@ -611,11 +521,8 @@ System::bindStream(NodeId core,
 bool
 System::quiescent() const
 {
-    if (!network_->idle())
+    if (!network_->idle() || !localQueue_.empty())
         return false;
-    for (const auto &shard : shards_)
-        if (!shard.localQueue.empty())
-            return false;
     for (const auto &l1 : l1s_)
         if (!l1->quiescent())
             return false;
@@ -667,9 +574,8 @@ System::run()
             * static_cast<Cycle>(queue_depth);
     }
     obs::Watchdog watchdog(wd_config);
-    initShardRuntime();
-    const bool completed = threads_ > 1 ? runParallel(watchdog)
-                                        : runSerial(watchdog);
+    initScheduler();
+    const bool completed = runLoop(watchdog);
 
     if (!completed && faultDiagnosis_.empty())
         warn("run hit max_cycles=%llu before completing",
@@ -690,62 +596,54 @@ System::run()
 }
 
 void
-System::initShardRuntime()
+System::initScheduler()
 {
-    for (auto &shard : shards_) {
-        std::fill(shard.memWake.begin(), shard.memWake.end(), 0);
-        std::fill(shard.dirWake.begin(), shard.dirWake.end(), 0);
-        std::fill(shard.l1Wake.begin(), shard.l1Wake.end(), 0);
-        std::fill(shard.coreWake.begin(), shard.coreWake.end(), 0);
-        shard.calendar.reset(startCycle_);
-        shard.nextEvent = startCycle_ + 1;
-        shard.eventsDispatched = 0;
-        shard.coresRunning = 0;
-        // A restored run resumes with the snapshot's in-flight local
-        // messages; a fresh run starts empty either way.
-        if (!restoredRun_)
-            shard.localQueue.clear();
-        for (auto &bucket : shard.staged)
-            bucket.clear();
-        shard.stagedBits.clear();
-        shard.bucket = 0;
+    std::fill(memWake_.begin(), memWake_.end(), 0);
+    std::fill(dirWake_.begin(), dirWake_.end(), 0);
+    std::fill(l1Wake_.begin(), l1Wake_.end(), 0);
+    std::fill(coreWake_.begin(), coreWake_.end(), 0);
+    calendar_.reset(startCycle_);
+    eventsDispatched_ = 0;
+    coresRunning_ = 0;
+    // A restored run resumes with the snapshot's in-flight local
+    // messages; a fresh run starts empty either way.
+    if (!restoredRun_)
+        localQueue_.clear();
 
-        // Seed the scheduler from component state. The calendar and
-        // bitmaps are never serialized: every component with pending
-        // work (and every unfinished core) is woken once at the start
-        // cycle, and its first tick re-arms an exact wake through
-        // nextEventCycle(). A wake the uninterrupted run would not
-        // have executed is a harmless spurious tick — the cycle is one
-        // the tick-every-cycle engine executed anyway, and a tick at a
-        // cycle with nothing due has no observable effect (cores fold
-        // the skipped span in through catchUp either way).
-        for (int n = shard.tile_begin; n < shard.tile_end; ++n) {
-            if (!cores_[n]->done()) {
-                ++shard.coresRunning;
-                setWakeBit(shard.coreWake, n);
-            }
-            if (dirs_[n]->active())
-                setWakeBit(shard.dirWake, n);
-            if (l1s_[n]->active())
-                setWakeBit(shard.l1Wake, n);
+    // Seed the scheduler from component state. The calendar and
+    // bitmaps are never serialized: every component with pending work
+    // (and every unfinished core) is woken once at the start cycle,
+    // and its first tick re-arms an exact wake through
+    // nextEventCycle(). A wake the uninterrupted run would not have
+    // executed is a harmless spurious tick — the cycle is one the
+    // tick-every-cycle engine executed anyway, and a tick at a cycle
+    // with nothing due has no observable effect (cores fold the
+    // skipped span in through catchUp either way).
+    for (int n = 0; n < config_.num_cores; ++n) {
+        if (!cores_[n]->done()) {
+            ++coresRunning_;
+            setWakeBit(coreWake_, n);
         }
-        for (int m = shard.mem_begin; m < shard.mem_end; ++m) {
-            if (memctls_[m]->active())
-                setWakeBit(shard.memWake, m);
-        }
+        if (dirs_[n]->active())
+            setWakeBit(dirWake_, n);
+        if (l1s_[n]->active())
+            setWakeBit(l1Wake_, n);
     }
-    std::fill(stagedCount_.begin(), stagedCount_.end(), 0);
-    staging_ = false;
+    for (int m = 0; m < config_.num_memctls; ++m) {
+        if (memctls_[m]->active())
+            setWakeBit(memWake_, m);
+    }
     schedExecuted_ = 0;
     schedSkipped_ = 0;
 }
 
 /**
- * All component phases of one shard for cycle now_, in the serial
- * loop's phase order. Only components with a set wake bit — woken by a
- * delivery, a matured calendar entry, or their own lingering next-cycle
- * work — are visited at all, so a quiescent tile costs zero, not even
- * a clock refresh (deliveries re-sync on demand; see routeMessage).
+ * All component phases for cycle now_: local-hop routing, memory
+ * controllers, directories, L1s, cores. Only components with a set
+ * wake bit — woken by a delivery, a matured calendar entry, or their
+ * own lingering next-cycle work — are visited at all, so a quiescent
+ * tile costs zero, not even a clock refresh (deliveries re-sync on
+ * demand; see routeMessage).
  *
  * The re-arm protocol after every tick is what keeps the calendar
  * exact: nextEventCycle(now_) == now_ + 1 keeps the wake bit (the
@@ -756,168 +654,105 @@ System::initShardRuntime()
  * with nothing due was what the tick-every-cycle engine did anyway.
  */
 void
-System::tickShard(Shard &shard, obs::PhaseProfiler *prof)
+System::tickComponents(bool prof)
 {
     // Calendar wakes that matured in (last executed cycle, now_]
     // become wake bits for the phases below.
-    shard.calendar.popDue(
-        now_, [&shard](WakeKind kind, std::uint32_t idx) {
-            const int i = static_cast<int>(idx);
-            switch (kind) {
-              case WakeKind::Mem: setWakeBit(shard.memWake, i); break;
-              case WakeKind::Dir: setWakeBit(shard.dirWake, i); break;
-              case WakeKind::L1: setWakeBit(shard.l1Wake, i); break;
-              case WakeKind::Core: setWakeBit(shard.coreWake, i); break;
-            }
-        });
+    calendar_.popDue(now_, [this](WakeKind kind, std::uint32_t idx) {
+        const int i = static_cast<int>(idx);
+        switch (kind) {
+          case WakeKind::Mem: setWakeBit(memWake_, i); break;
+          case WakeKind::Dir: setWakeBit(dirWake_, i); break;
+          case WakeKind::L1: setWakeBit(l1Wake_, i); break;
+          case WakeKind::Core: setWakeBit(coreWake_, i); break;
+        }
+    });
     if (prof)
-        prof->endPhase(obs::TickPhase::Sched);
+        profiler_.endPhase(obs::TickPhase::Sched);
 
-    shard.bucket = 0;
-    auto &queue = shard.localQueue;
-    while (!queue.empty() && queue.front().due <= now_) {
-        LocalMsg msg = std::move(queue.front());
-        queue.pop_front();
+    while (!localQueue_.empty() && localQueue_.front().due <= now_) {
+        LocalMsg msg = std::move(localQueue_.front());
+        localQueue_.pop_front();
         routeMessage(msg.dst, msg.msg);
     }
     if (prof)
-        prof->endPhase(obs::TickPhase::LocalRoute);
+        profiler_.endPhase(obs::TickPhase::LocalRoute);
 
-    shard.bucket = 1;
-    forEachWake(shard.memWake, [this, &shard](int m) {
-        ++shard.eventsDispatched;
+    forEachWake(memWake_, [this](int m) {
+        ++eventsDispatched_;
         memctls_[m]->tick(now_);
         const Cycle next = memctls_[m]->nextEventCycle(now_);
         if (next == now_ + 1)
             return true;
         if (next != kNoCycle)
-            shard.calendar.schedule(next, WakeKind::Mem,
-                                    static_cast<std::uint32_t>(m));
+            calendar_.schedule(next, WakeKind::Mem,
+                               static_cast<std::uint32_t>(m));
         return false;
     });
     if (prof)
-        prof->endPhase(obs::TickPhase::Memory);
+        profiler_.endPhase(obs::TickPhase::Memory);
 
-    shard.bucket = 2;
-    forEachWake(shard.dirWake, [this, &shard](int n) {
-        ++shard.eventsDispatched;
+    forEachWake(dirWake_, [this](int n) {
+        ++eventsDispatched_;
         dirs_[n]->tick(now_);
         const Cycle next = dirs_[n]->nextEventCycle(now_);
         if (next == now_ + 1)
             return true;
         if (next != kNoCycle)
-            shard.calendar.schedule(next, WakeKind::Dir,
-                                    static_cast<std::uint32_t>(n));
+            calendar_.schedule(next, WakeKind::Dir,
+                               static_cast<std::uint32_t>(n));
         return false;
     });
     if (prof)
-        prof->endPhase(obs::TickPhase::Directory);
+        profiler_.endPhase(obs::TickPhase::Directory);
 
-    shard.bucket = 3;
-    forEachWake(shard.l1Wake, [this, &shard](int n) {
-        ++shard.eventsDispatched;
+    forEachWake(l1Wake_, [this](int n) {
+        ++eventsDispatched_;
         l1s_[n]->tick(now_);
         const Cycle next = l1s_[n]->nextEventCycle(now_);
         if (next == now_ + 1)
             return true;
         if (next != kNoCycle)
-            shard.calendar.schedule(next, WakeKind::L1,
-                                    static_cast<std::uint32_t>(n));
+            calendar_.schedule(next, WakeKind::L1,
+                               static_cast<std::uint32_t>(n));
         return false;
     });
     if (prof)
-        prof->endPhase(obs::TickPhase::L1);
+        profiler_.endPhase(obs::TickPhase::L1);
 
     // Cores tick when woken (issue activity, a matured pause/compute
     // span, or a delivery through the wake hook). A core drives its L1
     // synchronously, so the L1's clock must read now_ during the
     // core's tick, and any work the access left behind re-arms the L1
     // for its next phase or a future cycle.
-    shard.bucket = 4;
-    forEachWake(shard.coreWake, [this, &shard](int n) {
+    forEachWake(coreWake_, [this](int n) {
         cpu::Core &core = *cores_[n];
         if (core.done())
             return false; // stray wake (late control bit)
-        ++shard.eventsDispatched;
+        ++eventsDispatched_;
         l1s_[n]->syncClock(now_);
         core.tick(now_);
         const Cycle l1n = l1s_[n]->nextEventCycle(now_);
         if (l1n == now_ + 1) {
-            setWakeBit(shard.l1Wake, n);
+            setWakeBit(l1Wake_, n);
         } else if (l1n != kNoCycle) {
-            shard.calendar.schedule(l1n, WakeKind::L1,
-                                    static_cast<std::uint32_t>(n));
+            calendar_.schedule(l1n, WakeKind::L1,
+                               static_cast<std::uint32_t>(n));
         }
         if (core.done()) {
-            --shard.coresRunning;
+            --coresRunning_;
             return false;
         }
         const Cycle next = core.nextEventCycle(now_);
         if (next == now_ + 1)
             return true;
         if (next != kNoCycle)
-            shard.calendar.schedule(next, WakeKind::Core,
-                                    static_cast<std::uint32_t>(n));
+            calendar_.schedule(next, WakeKind::Core,
+                               static_cast<std::uint32_t>(n));
         return false;
     });
     if (prof)
-        prof->endPhase(obs::TickPhase::Core);
-
-    shard.nextEvent = shardNextEvent(shard);
-}
-
-Cycle
-System::shardNextEvent(const Shard &shard) const
-{
-    std::uint64_t bits = 0;
-    for (const std::uint64_t w : shard.memWake)
-        bits |= w;
-    for (const std::uint64_t w : shard.dirWake)
-        bits |= w;
-    for (const std::uint64_t w : shard.l1Wake)
-        bits |= w;
-    for (const std::uint64_t w : shard.coreWake)
-        bits |= w;
-    Cycle next = bits ? now_ + 1 : kNoCycle;
-    // Local-hop dues are monotone (constant latency FIFO), so the
-    // front is the earliest.
-    if (!shard.localQueue.empty()) {
-        next = std::min(next,
-                        std::max(shard.localQueue.front().due, now_ + 1));
-    }
-    return std::min(next, shard.calendar.nextEventCycle());
-}
-
-/**
- * Replay the cycle's staged cross-shard traffic through the (serial)
- * network in canonical order: send bucket (the phase that issued the
- * send), then shard (ascending = component-index ascending, because
- * shards own contiguous ranges), then program order within the shard.
- * That is exactly the order the serial loop issues the same sends, so
- * packet ids, timestamps and queue contents match bit for bit.
- */
-void
-System::mergeStaged()
-{
-    for (int bucket = 0; bucket < kNumSendBuckets; ++bucket) {
-        for (auto &shard : shards_) {
-            for (const auto &s : shard.staged[bucket]) {
-                Packet pkt = noc::makePacket(
-                    s.src, s.dst, s.cls,
-                    coherence::packetKindOf(s.msg.type),
-                    coherence::canonicalPayload(s.msg));
-                const bool sent = network_->send(std::move(pkt));
-                FSOI_ASSERT(sent, "staged send rejected at merge");
-            }
-            shard.staged[bucket].clear();
-        }
-    }
-    for (auto &shard : shards_) {
-        for (const auto &bit : shard.stagedBits)
-            fsoiNet_->sendControlBit(bit.src, bit.dst, bit.tag);
-        shard.stagedBits.clear();
-    }
-    std::fill(stagedCount_.begin(), stagedCount_.end(), 0);
+        profiler_.endPhase(obs::TickPhase::Core);
 }
 
 bool
@@ -935,13 +770,10 @@ System::cycleEpilogue(obs::Watchdog &watchdog, bool &completed)
     if ((now_ & (kCompletionStride - 1)) != 0)
         return false;
 
-    bool all_done = true;
-    for (const auto &shard : shards_)
-        all_done &= shard.coresRunning == 0;
     // The quiescent() scan is the authoritative completion check: it
     // reads true component state, so stale wake bits or calendar
     // entries can never hold completion open or declare it early.
-    if (all_done && quiescent()) {
+    if (coresRunning_ == 0 && quiescent()) {
         completed = true;
         return true;
     }
@@ -972,12 +804,21 @@ System::cycleEpilogue(obs::Watchdog &watchdog, bool &completed)
 Cycle
 System::nextEpoch() const
 {
-    Cycle next = config_.max_cycles;
-    bool all_done = true;
-    for (const Shard &shard : shards_) {
-        all_done &= shard.coresRunning == 0;
-        next = std::min(next, shard.nextEvent);
-    }
+    std::uint64_t bits = 0;
+    for (const std::uint64_t w : memWake_)
+        bits |= w;
+    for (const std::uint64_t w : dirWake_)
+        bits |= w;
+    for (const std::uint64_t w : l1Wake_)
+        bits |= w;
+    for (const std::uint64_t w : coreWake_)
+        bits |= w;
+    Cycle next = bits ? now_ + 1 : config_.max_cycles;
+    // Local-hop dues are monotone (constant latency FIFO), so the
+    // front is the earliest.
+    if (!localQueue_.empty())
+        next = std::min(next, std::max(localQueue_.front().due, now_ + 1));
+    next = std::min(next, calendar_.nextEventCycle());
     next = std::min(next, network_->nextEventCycle(now_));
     if (sampler_)
         next = std::min(next, std::max(sampler_->nextDue(), now_ + 1));
@@ -986,13 +827,13 @@ System::nextEpoch() const
             next, now_ + checkpointEvery_ - now_ % checkpointEvery_);
     }
     next = std::min(next, (now_ | (kProgressStride - 1)) + 1);
-    if (all_done)
+    if (coresRunning_ == 0)
         next = std::min(next, (now_ | (kCompletionStride - 1)) + 1);
     return std::max(next, now_ + 1);
 }
 
 bool
-System::runSerial(obs::Watchdog &watchdog)
+System::runLoop(obs::Watchdog &watchdog)
 {
     bool completed = false;
 
@@ -1021,7 +862,7 @@ System::runSerial(obs::Watchdog &watchdog)
         if (prof)
             profiler_.endPhase(obs::TickPhase::Network);
 
-        tickShard(shards_[0], prof ? &profiler_ : nullptr);
+        tickComponents(prof);
         ++schedExecuted_;
 
         const Cycle next = nextEpoch();
@@ -1034,98 +875,6 @@ System::runSerial(obs::Watchdog &watchdog)
         schedSkipped_ += next - now_ - 1;
         now_ = next;
     }
-    return completed;
-}
-
-/**
- * The threaded loop: the interconnect ticks serially on the main
- * thread (it is one tightly coupled machine), then every shard's
- * component phases run concurrently between two barriers with
- * cross-shard sends staged per shard, then the main thread merges the
- * staged traffic in canonical order. Workers are persistent pool
- * tasks parked on the fork barrier, so per-cycle cost is two barrier
- * crossings and no thread churn.
- */
-bool
-System::runParallel(obs::Watchdog &watchdog)
-{
-    const int num_shards = threads_;
-    std::barrier<> forkBarrier(num_shards);
-    std::barrier<> joinBarrier(num_shards);
-    std::atomic<bool> stop{false};
-    common::ThreadPool pool(num_shards - 1);
-    std::vector<std::future<void>> workers;
-    workers.reserve(static_cast<std::size_t>(num_shards - 1));
-    for (int s = 1; s < num_shards; ++s) {
-        workers.push_back(
-            pool.submit([this, s, &forkBarrier, &joinBarrier, &stop] {
-                Shard &shard = shards_[static_cast<std::size_t>(s)];
-                for (;;) {
-                    forkBarrier.arrive_and_wait();
-                    if (stop.load(std::memory_order_relaxed))
-                        return;
-                    tickShard(shard, nullptr);
-                    joinBarrier.arrive_and_wait();
-                }
-            }));
-    }
-
-    bool completed = false;
-
-    now_ = startCycle_;
-    while (now_ < config_.max_cycles) {
-        // Checkpoints are cut at the top of the cycle, while the
-        // workers are parked on the fork barrier — the main thread has
-        // exclusive access to all simulation state here.
-        if (checkpointEvery_ != 0 && now_ != startCycle_
-            && now_ % checkpointEvery_ == 0) {
-            // Same canonical capture as the serial loop.
-            for (auto &core : cores_)
-                core->syncStats(now_ - 1);
-            saveCheckpoint(checkpointPath_);
-        }
-
-        const bool prof = profiler_.due(now_);
-        if (prof)
-            profiler_.beginCycle();
-
-        network_->tick(now_);
-        if (prof)
-            profiler_.endPhase(obs::TickPhase::Network);
-
-        // Fork/join region: staging_ flips only here, so delivery-time
-        // sends during the network tick above stay on the direct path.
-        staging_ = true;
-        forkBarrier.arrive_and_wait();
-        tickShard(shards_[0], nullptr);
-        joinBarrier.arrive_and_wait();
-        staging_ = false;
-        if (prof)
-            profiler_.endPhase(obs::TickPhase::Components);
-
-        mergeStaged();
-        if (prof)
-            profiler_.endPhase(obs::TickPhase::LocalRoute);
-        ++schedExecuted_;
-
-        // The epoch reads each shard's nextEvent (published before the
-        // join barrier) and the network's — after the merge, so staged
-        // sends are visible as pending network work.
-        const Cycle next = nextEpoch();
-        if (prof)
-            profiler_.endPhase(obs::TickPhase::Sched);
-
-        if (cycleEpilogue(watchdog, completed))
-            break;
-
-        schedSkipped_ += next - now_ - 1;
-        now_ = next;
-    }
-
-    stop.store(true, std::memory_order_relaxed);
-    forkBarrier.arrive_and_wait();
-    for (auto &worker : workers)
-        worker.get();
     return completed;
 }
 

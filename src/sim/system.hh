@@ -4,9 +4,10 @@
  * distributed shared L2 with directory slices (one per tile), memory
  * controllers, and one of five interconnects (mesh baseline, L0 / Lr1 /
  * Lr2 ideals, or the free-space optical interconnect), advanced in
- * lock-step over the populated cycles of a per-shard event calendar:
- * the run loop executes a cycle only when some component has work due,
- * and jumps straight across idle stretches (DESIGN.md §5e).
+ * lock-step over the populated cycles of an event calendar: the run
+ * loop executes a cycle only when some component has work due, and
+ * jumps straight across idle stretches (DESIGN.md §5e). One System
+ * runs on one thread; sweeps parallelize across Systems (SweepRunner).
  *
  * This is the library's main entry point: configure a SystemConfig,
  * pick an application profile (or bind custom instruction streams),
@@ -16,7 +17,6 @@
 #ifndef FSOI_SIM_SYSTEM_HH
 #define FSOI_SIM_SYSTEM_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -90,19 +90,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     Cycle max_cycles = 100'000'000;
     int local_hop_latency = 1; //!< L1 <-> same-tile directory
-
-    /**
-     * Intra-run worker threads for the parallel tick engine. The chip
-     * is partitioned into contiguous tile + memory-controller ranges
-     * (one shard per thread); each cycle the component phases fork to
-     * the shards between two barriers while the interconnect itself
-     * stays serial. Cross-shard sends are staged per shard and merged
-     * in canonical (phase, shard, program) order — which equals the
-     * serial loop's send order — so results are bit-identical at any
-     * thread count. 1 = the serial loop (no staging, no barriers);
-     * 0 = hardware concurrency. Clamped to [1, num_cores].
-     */
-    int threads = 1;
 
     /**
      * A run aborts after progress_stall_limit cycles without a retired
@@ -253,12 +240,10 @@ class System
      * L1 / directory / memory controller (including statistics), and
      * the in-flight local-hop messages — one hash-guarded section per
      * component. Capture point is the top of a cycle (before the
-     * network tick), where the threaded engine's staging state is
-     * empty, so the snapshot is thread-count independent: identical
-     * bytes at any --threads. The event calendar and wake bitmaps are
-     * never serialized — wake cycles are pure functions of component
-     * state, so restore re-seeds them (initShardRuntime) and the
-     * resumed run stays bit-identical to the uninterrupted one.
+     * network tick). The event calendar and wake bitmaps are never
+     * serialized — wake cycles are pure functions of component state,
+     * so restore re-seeds them (initScheduler) and the resumed run
+     * stays bit-identical to the uninterrupted one.
      */
     void saveSnapshot(snapshot::SnapshotWriter &snap) const;
 
@@ -271,7 +256,7 @@ class System
      * (loadApp/bindStream) and before run(); throws
      * snapshot::SnapshotError with a named diagnosis on a mismatched
      * snapshot. run() then continues from the captured cycle and is
-     * bit-identical to the uninterrupted run at any thread count.
+     * bit-identical to the uninterrupted run.
      * Host-side observability (flight recorder, profiler, watchdog
      * baseline) restarts fresh; none of it feeds simulation state.
      */
@@ -291,6 +276,7 @@ class System
     class LocalTransport;
     friend class LocalTransport;
 
+    /** A same-node message on its local hop (L1 <-> own directory). */
     struct LocalMsg
     {
         Cycle due;
@@ -298,92 +284,27 @@ class System
         coherence::Message msg;
     };
 
-    /**
-     * A cross-shard send captured during a threaded component phase;
-     * replayed through the network at the end-of-cycle merge.
-     */
-    struct StagedSend
-    {
-        NodeId src;
-        NodeId dst;
-        noc::PacketClass cls;
-        coherence::Message msg;
-    };
-
-    /** A directory's FSOI control-bit broadcast, staged like a send. */
-    struct StagedBit
-    {
-        NodeId src;
-        NodeId dst;
-        std::uint64_t tag;
-    };
-
-    /**
-     * Staged sends are bucketed by the phase that issued them so the
-     * merge can replay them in the serial loop's order: local-queue
-     * drain, then memory controllers, directories, L1s, cores.
-     */
-    static constexpr int kNumSendBuckets = 5;
-
-    /**
-     * One spatial partition of the chip: a contiguous tile range
-     * [tile_begin, tile_end) plus a contiguous memory-controller range
-     * [mem_begin, mem_end), with all per-shard scheduler state. Shard
-     * 0 always exists and runs on the main thread; shards 1.. run on
-     * pool workers between the cycle barriers.
-     *
-     * The wake bitmaps index components by their *global* number but
-     * each shard owns a full-size vector of which only its own range
-     * is ever set — sharing one vector would race on word boundaries.
-     */
-    struct Shard
-    {
-        int tile_begin = 0;
-        int tile_end = 0;
-        int mem_begin = 0;
-        int mem_end = 0;
-        std::vector<std::uint64_t> memWake;
-        std::vector<std::uint64_t> dirWake;
-        std::vector<std::uint64_t> l1Wake;
-        std::vector<std::uint64_t> coreWake;
-        /** Future wakes for this shard's components; written only by
-         *  the owning shard (or the main thread while workers park). */
-        EventCalendar calendar;
-        int coresRunning = 0; //!< not-done cores in the tile range
-        /** Shard-local next event cycle, computed at the end of
-         *  tickShard (min over wake bits, local queue, calendar). */
-        Cycle nextEvent = 0;
-        std::uint64_t eventsDispatched = 0; //!< host.sched telemetry
-        std::deque<LocalMsg> localQueue;
-        std::array<std::vector<StagedSend>, kNumSendBuckets> staged;
-        std::vector<StagedBit> stagedBits;
-        int bucket = 0; //!< send bucket for the phase now ticking
-    };
-
     void routeMessage(NodeId dst, const coherence::Message &msg);
-    /** Run every component phase of one shard for cycle now_. @p prof
-     *  non-null (serial loop only) brackets the phases. */
-    void tickShard(Shard &shard, obs::PhaseProfiler *prof);
-    /** Replay staged sends + control bits in canonical serial order. */
-    void mergeStaged();
-    /** Reset wake bits, calendars and staging state for run(). */
-    void initShardRuntime();
-    bool runSerial(obs::Watchdog &watchdog);
-    bool runParallel(obs::Watchdog &watchdog);
+    /** Run every component phase for cycle now_; @p prof brackets
+     *  the phases for the self-profiler. */
+    void tickComponents(bool prof);
+    /** Reset the wake bitmaps and calendar for run() and seed them
+     *  from component state. */
+    void initScheduler();
+    bool runLoop(obs::Watchdog &watchdog);
     /** Sampler + completion + watchdog tail of one cycle; true = stop
      *  the run loop. Sets @p completed on clean completion. */
     bool cycleEpilogue(obs::Watchdog &watchdog, bool &completed);
-    /** Shard-local next event: wake bits due now+1, else the earliest
-     *  of the local queue front and the shard calendar. */
-    Cycle shardNextEvent(const Shard &shard) const;
     /**
-     * The next cycle the run loop must execute: the min over every
-     * shard's nextEvent, the interconnect's nextEventCycle(), the
-     * sampler's next due epoch, the next periodic-checkpoint multiple,
-     * the next progress-check multiple (always — the watchdog must
-     * observe the same cadence the tick-every-cycle engine gave it)
-     * and, once every core is done, the next completion-check
-     * multiple. Clamped to [now_ + 1, max_cycles].
+     * The next cycle the run loop must execute: the min over the
+     * components' next wake (now_ + 1 while any wake bit is set, else
+     * the earliest of the local-hop queue front and the calendar), the
+     * interconnect's nextEventCycle(), the sampler's next due epoch,
+     * the next periodic-checkpoint multiple, the next progress-check
+     * multiple (always — the watchdog must observe the same cadence
+     * the tick-every-cycle engine gave it) and, once every core is
+     * done, the next completion-check multiple. Clamped to
+     * [now_ + 1, max_cycles].
      */
     Cycle nextEpoch() const;
     /**
@@ -418,28 +339,26 @@ class System
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::vector<std::unique_ptr<memory::MemoryController>> memctls_;
 
-    int threads_ = 1;               //!< resolved worker count
-    std::vector<Shard> shards_;     //!< threads_ entries; 0 = main
-    std::vector<int> nodeShard_;    //!< endpoint -> owning shard
-    /**
-     * Per-source, per-class count of sends staged this cycle, checked
-     * against Network::sendBudget() so a staging shard sees the same
-     * backpressure the serial loop sees at send time. Indexed
-     * [src * 2 + class]; entries are only written by the source's own
-     * shard during a phase and zeroed at the merge.
-     */
-    std::vector<std::uint16_t> stagedCount_;
-    /** True only inside the threaded fork/join region: LocalTransport
-     *  stages cross-node sends instead of calling the network. */
-    bool staging_ = false;
+    // Scheduler state. Each wake bitmap has one bit per component of
+    // its kind (by component number): set = tick in this cycle's
+    // phase. The calendar holds every later wake; the local-hop FIFO
+    // holds same-node messages in send order.
+    std::vector<std::uint64_t> memWake_;
+    std::vector<std::uint64_t> dirWake_;
+    std::vector<std::uint64_t> l1Wake_;
+    std::vector<std::uint64_t> coreWake_;
+    EventCalendar calendar_;
+    std::deque<LocalMsg> localQueue_;
+    int coresRunning_ = 0; //!< cores not yet done
     Cycle now_ = 0;
-    // host.sched.* telemetry (main-thread only; not simulation state).
+    // host.sched.* telemetry (not simulation state).
+    std::uint64_t eventsDispatched_ = 0; //!< component ticks run
     std::uint64_t schedExecuted_ = 0; //!< cycles the loop executed
     std::uint64_t schedSkipped_ = 0;  //!< cycles the calendar skipped
 
     // Checkpoint/restore runtime state. startCycle_ is where run()'s
     // loop begins (non-zero after a restore); restoredRun_ keeps
-    // initShardRuntime() from wiping the restored local queues.
+    // initScheduler() from wiping the restored local-hop queue.
     std::string checkpointPath_;
     Cycle checkpointEvery_ = 0;
     Cycle startCycle_ = 0;

@@ -5,70 +5,28 @@
  * (snapshot/archive.hh) and rebuilds the scheduler runtime around the
  * restored state.
  *
- * Capture point is the top of a cycle, before the network tick: the
- * threaded engine's staging buffers are empty there, and the wake
- * bitmaps and event calendars are memoization of per-component wake
- * cycles that are pure functions of component state
- * (Component::nextEventCycle()), so none of them are serialized and
- * snapshots are bit-identical at any --threads. Restore re-seeds the
- * scheduler by waking every component with pending work once; the
- * first tick re-arms exact wakes.
+ * Capture point is the top of a cycle, before the network tick. The
+ * wake bitmaps and the event calendar are memoization of per-component
+ * wake cycles that are pure functions of component state
+ * (Component::nextEventCycle()), so neither is serialized. Restore
+ * re-seeds the scheduler by waking every component with pending work
+ * once; the first tick re-arms exact wakes.
  *
- * The one piece of state that *is* partitioned by thread count — the
- * per-shard local-hop queues — is serialized in a canonical order that
- * every partitioning can reconstruct. A queue entry's insertion slot is
- * (cycle, phase, node, program order); cycle is recoverable from the
- * due stamp (the local-hop latency is constant), the node is the
- * destination (self-sends only), and the phase is recoverable from the
- * message type, because the component kinds that can send to their own
- * node emit disjoint type sets (directory grants, L1 requests/acks,
- * core sync ops). Sorting by (due, phase, dst) with ties left in FIFO
- * order therefore reproduces exactly each shard's insertion order when
- * the entries are dealt back out by nodeShard_[dst].
+ * The local-hop FIFO is written in queue order. That order is already
+ * canonical — ascending (due, phase, dst): self-sends happen only in
+ * the component phases (directories, then L1s, then cores, each in
+ * ascending node order) and the hop latency is constant, so dues never
+ * decrease along the queue. Checkpoints written by earlier versions,
+ * which sorted the queue by that key, therefore restore unchanged.
  */
 
 #include "sim/system.hh"
-
-#include <algorithm>
 
 #include "coherence/message_io.hh"
 #include "common/logging.hh"
 #include "snapshot/archive.hh"
 
 namespace fsoi::sim {
-
-using coherence::Message;
-using coherence::MsgType;
-
-namespace {
-
-/**
- * Which component phase issues a same-node send of this message type
- * (tickShard's phase order). Directory grants/NACKs are L1-bound,
- * sync ops come from cores, everything else self-sent is an L1
- * request/ack to its own-tile directory.
- */
-int
-selfSendPhase(MsgType type)
-{
-    switch (type) {
-      case MsgType::DataS:
-      case MsgType::DataE:
-      case MsgType::DataM:
-      case MsgType::ExcAck:
-      case MsgType::Inv:
-      case MsgType::Dwg:
-      case MsgType::Nack:
-        return 0; // directory phase
-      case MsgType::SyncLl:
-      case MsgType::SyncSc:
-        return 2; // core phase
-      default:
-        return 1; // L1 phase
-    }
-}
-
-} // namespace
 
 const char *
 System::netSectionPrefix() const
@@ -84,8 +42,7 @@ void
 System::saveSnapshot(snapshot::SnapshotWriter &snap) const
 {
     // Config fingerprint: restore refuses a snapshot taken under a
-    // different machine shape. Thread count is deliberately absent —
-    // snapshots restore across --threads values.
+    // different machine shape.
     snapshot::Writer &meta = snap.section("meta");
     meta.u32(static_cast<std::uint32_t>(config_.num_cores));
     meta.u32(static_cast<std::uint32_t>(config_.num_memctls));
@@ -118,25 +75,9 @@ System::saveSnapshot(snapshot::SnapshotWriter &snap) const
     for (int m = 0; m < config_.num_memctls; ++m)
         memctls_[m]->saveState(snap.section("mem" + std::to_string(m)));
 
-    // Canonical local-queue order (see file comment).
-    std::vector<LocalMsg> msgs;
-    for (const auto &shard : shards_) {
-        msgs.insert(msgs.end(), shard.localQueue.begin(),
-                    shard.localQueue.end());
-    }
-    std::stable_sort(msgs.begin(), msgs.end(),
-                     [](const LocalMsg &a, const LocalMsg &b) {
-                         if (a.due != b.due)
-                             return a.due < b.due;
-                         const int pa = selfSendPhase(a.msg.type);
-                         const int pb = selfSendPhase(b.msg.type);
-                         if (pa != pb)
-                             return pa < pb;
-                         return a.dst < b.dst;
-                     });
     snapshot::Writer &sched = snap.section("sched");
-    sched.u64(msgs.size());
-    for (const LocalMsg &m : msgs) {
+    sched.u64(localQueue_.size());
+    for (const LocalMsg &m : localQueue_) {
         sched.u64(m.due);
         sched.u32(m.dst);
         coherence::saveMessage(sched, m.msg);
@@ -222,8 +163,7 @@ System::restoreSnapshot(const snapshot::SnapshotReader &snap)
         memctls_[m]->loadState(r);
     }
 
-    for (auto &shard : shards_)
-        shard.localQueue.clear();
+    localQueue_.clear();
     {
         snapshot::Reader r = snap.open("sched");
         const std::uint64_t n = r.u64();
@@ -232,8 +172,7 @@ System::restoreSnapshot(const snapshot::SnapshotReader &snap)
             msg.due = r.u64();
             msg.dst = static_cast<NodeId>(r.u32());
             msg.msg = coherence::loadMessage(r);
-            shards_[static_cast<std::size_t>(nodeShard_[msg.dst])]
-                .localQueue.push_back(std::move(msg));
+            localQueue_.push_back(std::move(msg));
         }
     }
 

@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the observability layer: stat registry naming and
- * writers, interval sampler record layout, and the tracer ring buffer.
+ * writers, interval sampler record layout, the tracer ring buffer, and
+ * the shared command-line flag parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "obs/cli.hh"
 #include "obs/sampler.hh"
 #include "obs/stat_registry.hh"
 #include "obs/tracer.hh"
@@ -30,6 +34,16 @@ TEST(StatRegistry, HierarchicalNamingThroughScopes)
     EXPECT_NE(reg.find("system.core3.l1.misses"), nullptr);
     EXPECT_EQ(reg.find("system.core3.l1.nope"), nullptr);
     EXPECT_EQ(reg.find("hits"), nullptr);
+}
+
+TEST(StatRegistry, DuplicateNameDies)
+{
+    StatRegistry reg;
+    Counter a, b;
+    Scope sys = Scope(reg).scope("system");
+    sys.counter("hits", a);
+    sys.counter("misses", b);
+    EXPECT_DEATH(sys.counter("hits", b), "duplicate stat name");
 }
 
 TEST(StatRegistry, VisitSeesLiveValues)
@@ -251,6 +265,58 @@ TEST(Tracer, ChromeTraceDocumentIsWellFormed)
     EXPECT_NE(doc.find("\"dur\":5"), std::string::npos);
     EXPECT_NE(doc.find("\"cat\":\"mem\""), std::string::npos);
     tr.reset();
+}
+
+/** parseCliOptions over @p args (argv[0] is supplied); @p rest gets
+ *  the arguments the parser left in argv, in order. */
+CliOptions
+parseArgs(std::vector<std::string> args, std::vector<std::string> *rest)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(args.size());
+    const CliOptions opts = parseCliOptions(argc, argv.data());
+    if (rest)
+        rest->assign(argv.begin() + 1, argv.begin() + argc);
+    return opts;
+}
+
+TEST(CliOptions, NumericFlagsAcceptPlainIntegers)
+{
+    const CliOptions opts = parseArgs(
+        {"--checkpoint-every=1000000", "--stats-interval=10000",
+         "--seed=42"},
+        nullptr);
+    EXPECT_EQ(opts.checkpoint_every, 1000000u);
+    EXPECT_EQ(opts.stats_interval, 10000u);
+    EXPECT_EQ(opts.seed, 42u);
+}
+
+TEST(CliOptions, MalformedNumbersDieNamingTheFlag)
+{
+    for (const char *flag :
+         {"--checkpoint-every", "--stats-interval", "--seed"}) {
+        for (const char *bad : {"1e6", "10k", "-5", "", "0"}) {
+            const std::string arg = std::string(flag) + "=" + bad;
+            EXPECT_DEATH(parseArgs({arg}, nullptr), flag) << arg;
+        }
+    }
+}
+
+TEST(CliOptions, UnrecognisedArgumentsKeptInOrder)
+{
+    std::vector<std::string> rest;
+    const CliOptions opts = parseArgs(
+        {"fft", "--stats", "16", "--jobs=4", "--seed=7", "--other"},
+        &rest);
+    EXPECT_TRUE(opts.stats_text);
+    EXPECT_EQ(opts.seed, 7u);
+    EXPECT_EQ(rest,
+              (std::vector<std::string>{"fft", "16", "--jobs=4",
+                                        "--other"}));
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
  * Checkpoint/restore guarantees: a restored run is bit-identical to
- * the uninterrupted run at any tick-engine thread count (including
- * faulted configs), snapshot files are byte-identical regardless of
- * the thread count that wrote them, corrupted or truncated snapshots
- * are rejected with a named-section diagnosis, and the campaign layer
- * resumes crashed sweeps without changing a single output byte.
+ * the uninterrupted run (including faulted configs), a restored
+ * System saves back the exact bytes it was restored from, corrupted or
+ * truncated snapshots are rejected with a named-section diagnosis, and
+ * the campaign layer resumes crashed sweeps without changing a single
+ * output byte.
  */
 
 #include <cstdint>
@@ -53,11 +53,9 @@ readBytes(const std::string &path)
 
 /** Checkpoint @p job at @p at cycles (run a horizon-limited copy). */
 void
-checkpointAt(sim::SweepJob job, Cycle at, int threads,
-             const std::string &path)
+checkpointAt(sim::SweepJob job, Cycle at, const std::string &path)
 {
     job.config.max_cycles = at;
-    job.config.threads = threads;
     sim::System sys(job.config);
     sys.loadApp(job.app.scaled(job.scale));
     const auto r = sys.run();
@@ -67,9 +65,8 @@ checkpointAt(sim::SweepJob job, Cycle at, int threads,
 }
 
 sim::RunResult
-resumeFrom(const std::string &path, sim::SweepJob job, int threads)
+resumeFrom(const std::string &path, const sim::SweepJob &job)
 {
-    job.config.threads = threads;
     sim::System sys(job.config);
     sys.loadApp(job.app.scaled(job.scale));
     sys.restoreCheckpoint(path);
@@ -107,24 +104,17 @@ expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
     EXPECT_EQ(a.fault_diagnosis, b.fault_diagnosis);
 }
 
-TEST(Snapshot, RestoredRunBitIdenticalAcrossThreads)
+TEST(Snapshot, RestoredRunBitIdentical)
 {
-    // Checkpoint under every writer thread count, resume under every
-    // reader thread count: all four combinations must reproduce the
-    // uninterrupted run exactly.
+    // Checkpoint mid-run and resume: the resumed run must reproduce
+    // the uninterrupted run exactly.
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const auto full = sim::SweepRunner::runJob(job, false).result;
     ASSERT_TRUE(full.completed);
-    for (int save_threads : {1, 4}) {
-        const std::string path =
-            tmpPath("rt_t" + std::to_string(save_threads) + ".ckpt");
-        checkpointAt(job, 4000, save_threads, path);
-        for (int load_threads : {1, 4}) {
-            const auto resumed = resumeFrom(path, job, load_threads);
-            expectIdentical(full, resumed);
-        }
-        std::filesystem::remove(path);
-    }
+    const std::string path = tmpPath("rt.ckpt");
+    checkpointAt(job, 4000, path);
+    expectIdentical(full, resumeFrom(path, job));
+    std::filesystem::remove(path);
 }
 
 TEST(Snapshot, RestoredFaultedRunBitIdentical)
@@ -137,11 +127,8 @@ TEST(Snapshot, RestoredFaultedRunBitIdentical)
     ASSERT_TRUE(full.completed);
     EXPECT_GT(full.fault_bit_errors, 0u);
     const std::string path = tmpPath("fault.ckpt");
-    checkpointAt(job, 4000, 1, path);
-    for (int load_threads : {1, 4}) {
-        const auto resumed = resumeFrom(path, job, load_threads);
-        expectIdentical(full, resumed);
-    }
+    checkpointAt(job, 4000, path);
+    expectIdentical(full, resumeFrom(path, job));
     std::filesystem::remove(path);
 
     // Mesh with dead links exercises the reroute/retx machinery.
@@ -150,24 +137,46 @@ TEST(Snapshot, RestoredFaultedRunBitIdentical)
     const auto mesh_full = sim::SweepRunner::runJob(mesh, false).result;
     ASSERT_TRUE(mesh_full.completed);
     const std::string mpath = tmpPath("fault_mesh.ckpt");
-    checkpointAt(mesh, 4000, 1, mpath);
-    expectIdentical(mesh_full, resumeFrom(mpath, mesh, 1));
+    checkpointAt(mesh, 4000, mpath);
+    expectIdentical(mesh_full, resumeFrom(mpath, mesh));
     std::filesystem::remove(mpath);
 }
 
-TEST(Snapshot, CheckpointBytesIndependentOfThreadCount)
+TEST(Snapshot, RestoreThenSaveIsByteIdentical)
 {
-    // The snapshot is a canonical encoding of simulator state, so the
-    // file a 4-thread run writes is byte-for-byte the file the serial
-    // run writes at the same cycle.
-    const auto job = point(sim::NetKind::Fsoi, "fft", 3);
-    const std::string p1 = tmpPath("bytes_t1.ckpt");
-    const std::string p4 = tmpPath("bytes_t4.ckpt");
-    checkpointAt(job, 4000, 1, p1);
-    checkpointAt(job, 4000, 4, p4);
-    EXPECT_EQ(readBytes(p1), readBytes(p4));
-    std::filesystem::remove(p1);
-    std::filesystem::remove(p4);
+    // The snapshot is a canonical encoding of simulator state: a
+    // System restored from a checkpoint saves back the same bytes, and
+    // then runs on exactly as the uninterrupted run. The capture
+    // cycles are chosen so the "sched" section holds queued local-hop
+    // messages, whose order the round trip must preserve.
+    const struct
+    {
+        sim::NetKind kind;
+        Cycle at;
+    } cases[] = {{sim::NetKind::Fsoi, 21916},
+                 {sim::NetKind::Mesh, 43242}};
+    for (const auto &c : cases) {
+        const auto job = point(c.kind, "fft", 42);
+        const auto full = sim::SweepRunner::runJob(job, false).result;
+        ASSERT_TRUE(full.completed);
+        const std::string first = tmpPath("resave_a.ckpt");
+        const std::string second = tmpPath("resave_b.ckpt");
+        checkpointAt(job, c.at, first);
+        const auto bytes = readBytes(first);
+
+        const snapshot::SnapshotReader snap{
+            std::vector<std::uint8_t>(bytes)};
+        EXPECT_GE(snap.open("sched").u64(), 2u) << "at cycle " << c.at;
+
+        sim::System sys(job.config);
+        sys.loadApp(job.app.scaled(job.scale));
+        sys.restoreCheckpoint(first);
+        sys.saveCheckpoint(second);
+        EXPECT_EQ(bytes, readBytes(second)) << "at cycle " << c.at;
+        expectIdentical(full, sys.run());
+        std::filesystem::remove(first);
+        std::filesystem::remove(second);
+    }
 }
 
 TEST(Snapshot, PeriodicCheckpointMatchesDirectSave)
@@ -176,7 +185,7 @@ TEST(Snapshot, PeriodicCheckpointMatchesDirectSave)
     // top-of-cycle state as an explicit horizon-limited save.
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string direct = tmpPath("direct.ckpt");
-    checkpointAt(job, 4000, 1, direct);
+    checkpointAt(job, 4000, direct);
 
     auto periodic_job = job;
     periodic_job.config.max_cycles = 4001;
@@ -194,7 +203,7 @@ TEST(Snapshot, TruncatedFileNamesTheSection)
 {
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string path = tmpPath("trunc.ckpt");
-    checkpointAt(job, 4000, 1, path);
+    checkpointAt(job, 4000, path);
     const auto bytes = readBytes(path);
     std::filesystem::remove(path);
     ASSERT_GT(bytes.size(), 1000u);
@@ -223,7 +232,7 @@ TEST(Snapshot, BitFlipNamesTheSection)
 {
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string path = tmpPath("flip.ckpt");
-    checkpointAt(job, 4000, 1, path);
+    checkpointAt(job, 4000, path);
     const auto bytes = readBytes(path);
     std::filesystem::remove(path);
 
@@ -264,10 +273,9 @@ TEST(Snapshot, ConfigMismatchRejected)
 {
     const auto job = point(sim::NetKind::Fsoi, "fft", 3);
     const std::string path = tmpPath("mismatch.ckpt");
-    checkpointAt(job, 4000, 1, path);
+    checkpointAt(job, 4000, path);
 
-    auto other = point(sim::NetKind::Fsoi, "fft", 4); // different seed
-    other.config.threads = 1;
+    const auto other = point(sim::NetKind::Fsoi, "fft", 4); // new seed
     sim::System sys(other.config);
     sys.loadApp(other.app.scaled(other.scale));
     try {

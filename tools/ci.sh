@@ -71,40 +71,37 @@ diff -u "$repo/tools/golden_snapshot_16core.manifest" \
 echo "== crash-resume gate =="
 # Kill a sweep campaign mid-flight with SIGKILL, resume it with the
 # same command line, and require the consolidated JSON report to be
-# byte-identical to an uninterrupted run's -- at tick-engine threads 1
-# and 4. The kill lands after the first point's done record hits the
-# journal, so the resume exercises both journal replay (finished
-# points) and checkpoint restore (the in-flight point). If the
-# campaign finishes before the kill lands, the resume degenerates to
-# pure journal replay, which must still reproduce the report exactly.
-for t in 1 4; do
-    camp_args="--points=4 --app=fft --scale=0.3 --threads=$t \
-        --checkpoint-every=10000 --seed=42"
-    rm -rf "$build/ci_camp_full_t$t" "$build/ci_camp_kill_t$t"
-    # shellcheck disable=SC2086
-    "$build/tools/sweep_campaign" --dir="$build/ci_camp_full_t$t" \
-        $camp_args --json="$build/ci_camp_full_t$t.json" 2> /dev/null
-    # shellcheck disable=SC2086
-    "$build/tools/sweep_campaign" --dir="$build/ci_camp_kill_t$t" \
-        $camp_args --json="$build/ci_camp_kill_t$t.json" \
-        2> /dev/null &
-    camp_pid=$!
-    while kill -0 "$camp_pid" 2> /dev/null; do
-        if grep -q '"event":"done"' \
-            "$build/ci_camp_kill_t$t/campaign.jsonl" 2> /dev/null; then
-            kill -9 "$camp_pid" 2> /dev/null || true
-            break
-        fi
-        sleep 0.05
-    done
-    wait "$camp_pid" 2> /dev/null || true
-    rm -f "$build/ci_camp_kill_t$t.json"
-    # shellcheck disable=SC2086
-    "$build/tools/sweep_campaign" --dir="$build/ci_camp_kill_t$t" \
-        $camp_args --json="$build/ci_camp_kill_t$t.json" 2> /dev/null
-    cmp "$build/ci_camp_full_t$t.json" "$build/ci_camp_kill_t$t.json"
-    echo "  threads=$t: resumed report byte-identical"
+# byte-identical to an uninterrupted run's. The kill lands after the
+# first point's done record hits the journal, so the resume exercises
+# both journal replay (finished points) and checkpoint restore (the
+# in-flight point). If the campaign finishes before the kill lands,
+# the resume degenerates to pure journal replay, which must still
+# reproduce the report exactly.
+camp_args="--points=4 --app=fft --scale=0.3 --checkpoint-every=10000 \
+    --seed=42"
+rm -rf "$build/ci_camp_full" "$build/ci_camp_kill"
+# shellcheck disable=SC2086
+"$build/tools/sweep_campaign" --dir="$build/ci_camp_full" \
+    $camp_args --json="$build/ci_camp_full.json" 2> /dev/null
+# shellcheck disable=SC2086
+"$build/tools/sweep_campaign" --dir="$build/ci_camp_kill" \
+    $camp_args --json="$build/ci_camp_kill.json" 2> /dev/null &
+camp_pid=$!
+while kill -0 "$camp_pid" 2> /dev/null; do
+    if grep -q '"event":"done"' \
+        "$build/ci_camp_kill/campaign.jsonl" 2> /dev/null; then
+        kill -9 "$camp_pid" 2> /dev/null || true
+        break
+    fi
+    sleep 0.05
 done
+wait "$camp_pid" 2> /dev/null || true
+rm -f "$build/ci_camp_kill.json"
+# shellcheck disable=SC2086
+"$build/tools/sweep_campaign" --dir="$build/ci_camp_kill" \
+    $camp_args --json="$build/ci_camp_kill.json" 2> /dev/null
+cmp "$build/ci_camp_full.json" "$build/ci_camp_kill.json"
+echo "  resumed report byte-identical"
 
 echo "== telemetry overhead gate =="
 # The observability layer (flight recorder + self-profiler + link
@@ -128,21 +125,20 @@ cmake -B "$sanbuild" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$sanbuild" -j "$(nproc 2>/dev/null || echo 2)"
 ctest --test-dir "$sanbuild" --output-on-failure
 
-echo "== sanitizer leg (TSan, threaded tick engine) =="
-# The determinism and scheduler suites again under ThreadSanitizer,
-# which exercises the intra-run parallel tick engine (shard workers,
-# staged-send merge, wake bitmaps) at threads={2,4} x jobs={1,4} and
-# the per-shard event calendar at threads=4 (cross-shard wakes on
-# epoch boundaries, calendar rebuild on snapshot restore). Scoped to
-# those suites: TSan slows runs ~10x and the threading surface is
-# exactly what these tests drive.
+echo "== sanitizer leg (TSan, --jobs) =="
+# The --jobs tests again under ThreadSanitizer: a System always runs
+# on one thread, but SweepRunner and CampaignRunner run several
+# Systems at once on a worker pool, sharing the process-global tracer,
+# the live flight-recorder registry and the campaign journal. Scoped
+# to those tests: TSan slows runs ~10x and the pool is exactly what
+# they drive.
 tsanbuild="$build-tsan"
 cmake -B "$tsanbuild" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFSOI_SANITIZE=thread
 cmake --build "$tsanbuild" -j "$(nproc 2>/dev/null || echo 2)" \
-    --target test_determinism test_scheduler
-ctest --test-dir "$tsanbuild" -R "Determinism|Scheduler|Calendar" \
-    --output-on-failure
+    --target test_determinism test_snapshot
+ctest --test-dir "$tsanbuild" --output-on-failure -R \
+    "Determinism\.(ParallelMatchesSerial|KeepSystemMatchesPlainRun)|Campaign\.ParallelJobsMatchSerial"
 
 echo "== perf gate =="
 # Warmup pass (discarded): absorbs post-build CPU-quota throttling and

@@ -19,7 +19,6 @@
  *   --seed=N              base seed; point i runs seed+i (default 42)
  *   --scale=F             app scale factor (default 0.5)
  *   --jobs=N              concurrent points, 0 = host CPUs (default 1)
- *   --threads=N           tick-engine threads per point (default 1)
  *   --checkpoint-every=N  per-point checkpoint period (default 20000)
  *   --max-attempts=N      quarantine threshold (default 3)
  *   --json=FILE           consolidated report ("-" = stdout)
@@ -98,7 +97,6 @@ main(int argc, char **argv)
     int cores = 16;
     std::uint64_t seed = 42;
     double scale = 0.5;
-    int threads = 1;
     Cycle horizon = 20'000;
     bool warm_reuse = true;
     std::string json_path;
@@ -121,8 +119,6 @@ main(int argc, char **argv)
             scale = std::atof(v);
         else if (const char *v = matchValue(arg, "--jobs"))
             cc.jobs = static_cast<int>(parseU64("--jobs", v));
-        else if (const char *v = matchValue(arg, "--threads"))
-            threads = static_cast<int>(parseU64("--threads", v));
         else if (const char *v = matchValue(arg, "--checkpoint-every"))
             cc.checkpoint_every = parseU64("--checkpoint-every", v);
         else if (const char *v = matchValue(arg, "--max-attempts"))
@@ -155,7 +151,6 @@ main(int argc, char **argv)
         sim::CampaignPoint p;
         p.name = "p" + std::to_string(i);
         p.job.config = sim::SystemConfig::paperConfig(cores, net);
-        p.job.config.threads = threads;
         p.job.app = app;
         p.job.scale = scale;
         if (cc.warmup_cycles > 0) {
