@@ -281,9 +281,11 @@ checkInvariants(sim::System &sys, sim::NetKind kind)
     }
 }
 
+// The app is a std::string, not a const char *, so the test names carry
+// the app name rather than a per-process string-literal address.
 class CoherenceInvariants
     : public ::testing::TestWithParam<std::tuple<sim::NetKind,
-                                                 const char *>>
+                                                 std::string>>
 {};
 
 TEST_P(CoherenceInvariants, HoldAtQuiescence)
