@@ -191,19 +191,20 @@ class CacheArray
                 fn(line);
     }
 
-    // --- checkpoint/restore (snapshot/): the full way array in slot
-    // order plus the LRU clock, so victim selection after a restore is
-    // bit-identical to the uninterrupted run.
-    const std::vector<Line> &rawLines() const { return lines_; }
-    std::uint64_t rawLruClock() const { return lruClock_; }
-
+    /**
+     * Checkpoint hook (snapshot/serialize.hh): every way in slot order,
+     * Meta describing its own fields, then the LRU clock, so victim
+     * selection after a restore is bit-identical to the uninterrupted
+     * run. The ways are read straight into place.
+     */
+    template <class Ar>
     void
-    rawRestore(std::vector<Line> lines, std::uint64_t lru_clock)
+    serialize(Ar &ar)
     {
-        FSOI_ASSERT(lines.size() == lines_.size(),
-                    "cache geometry mismatch on restore");
-        lines_ = std::move(lines);
-        lruClock_ = lru_clock;
+        ar.fixed(lines_, "cache geometry", [&](Line &line) {
+            ar(line.tag, line.valid, line.lru, line.meta);
+        });
+        ar(lruClock_);
     }
 
   private:

@@ -8,9 +8,8 @@
 
 #include "common/logging.hh"
 #include "common/trace.hh"
-#include "coherence/message_io.hh"
 #include "obs/flight_recorder.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::coherence {
 
@@ -108,8 +107,13 @@ Directory::openTxn(Addr line_addr, Txn txn)
             obs::FlightEventKind::DirTxnStart, now_, node_, line_addr,
             static_cast<std::uint8_t>(txn.kind));
     }
-    const int idx = txns_.find(line_addr);
-    txns_.at(idx >= 0 ? idx : txns_.alloc(line_addr)) = std::move(txn);
+    int idx = txns_.find(line_addr);
+    if (idx < 0) {
+        if (txns_.full())
+            txns_.grow();
+        idx = txns_.alloc(line_addr);
+    }
+    txns_.at(idx) = std::move(txn);
 }
 
 void
@@ -818,181 +822,31 @@ Directory::quiescent() const
 }
 
 void
-Directory::saveState(snapshot::Writer &w) const
+Directory::serialize(snapshot::Archive &ar)
 {
-    using namespace snapshot;
+    ar(array_);
+    txns_.serialize(ar, [&](Txn &txn) {
+        ar(txn.kind, txn.requester, txn.upgrade, txn.acks_pending,
+           txn.epoch, txn.grant_type);
+        ar.seq(txn.pending);
+    });
+    ar(epochCounter_);
 
-    const auto &lines = array_.rawLines();
-    w.u64(lines.size());
-    for (const auto &line : lines) {
-        w.u64(line.tag);
-        w.boolean(line.valid);
-        w.u64(line.lru);
-        w.u8(static_cast<std::uint8_t>(line.meta.state));
-        w.u64(line.meta.sharers);
-        w.u32(line.meta.owner);
-        w.boolean(line.meta.dirty);
-    }
-    w.u64(array_.rawLruClock());
+    ar.seq(inQueue_);
+    ar.seq(outbox_, [&](OutMsg &out) { ar(out.ready_at, out.dst, out.msg); });
+    ar.seq(deferredFills_);
+    ar.sortedMap(syncVars_, [&](SyncVar &var) {
+        ar(var.value, var.version, var.subscribers);
+    });
+    ar.sortedMap(syncLinks_, [&](std::pair<Addr, std::uint64_t> &link) {
+        ar(link.first, link.second);
+    });
 
-    std::vector<Addr> order;
-    order.reserve(txns_.size());
-    for (int i = 0; i < txns_.capacity(); ++i)
-        if (txns_.lineAt(i) != TxnTable::kFreeLine)
-            order.push_back(txns_.lineAt(i));
-    std::sort(order.begin(), order.end());
-    w.u64(order.size());
-    for (const Addr line : order) {
-        const Txn &txn = txns_.at(txns_.find(line));
-        w.u64(line);
-        w.u8(static_cast<std::uint8_t>(txn.kind));
-        w.u32(txn.requester);
-        w.boolean(txn.upgrade);
-        w.i32(txn.acks_pending);
-        w.u64(txn.epoch);
-        w.u8(static_cast<std::uint8_t>(txn.grant_type));
-        w.u64(txn.pending.size());
-        for (const Message &msg : txn.pending)
-            saveMessage(w, msg);
-    }
-    w.u64(epochCounter_);
-
-    w.u64(inQueue_.size());
-    for (const Message &msg : inQueue_)
-        saveMessage(w, msg);
-    w.u64(outbox_.size());
-    for (const OutMsg &out : outbox_) {
-        w.u64(out.ready_at);
-        w.u32(out.dst);
-        saveMessage(w, out.msg);
-    }
-    w.u64(deferredFills_.size());
-    for (const Message &msg : deferredFills_)
-        saveMessage(w, msg);
-
-    std::vector<Addr> words;
-    words.reserve(syncVars_.size());
-    for (const auto &[word, var] : syncVars_)
-        words.push_back(word);
-    std::sort(words.begin(), words.end());
-    w.u64(words.size());
-    for (const Addr word : words) {
-        const SyncVar &var = syncVars_.at(word);
-        w.u64(word);
-        w.u64(var.value);
-        w.u64(var.version);
-        w.u64(var.subscribers);
-    }
-    std::vector<NodeId> nodes;
-    nodes.reserve(syncLinks_.size());
-    for (const auto &[n, link] : syncLinks_)
-        nodes.push_back(n);
-    std::sort(nodes.begin(), nodes.end());
-    w.u64(nodes.size());
-    for (const NodeId n : nodes) {
-        const auto &[word, version] = syncLinks_.at(n);
-        w.u32(n);
-        w.u64(word);
-        w.u64(version);
-    }
-
-    w.u64(now_);
-    saveCounter(w, stats_.requests);
-    saveCounter(w, stats_.nacks_sent);
-    saveCounter(w, stats_.invalidations_sent);
-    saveCounter(w, stats_.downgrades_sent);
-    saveCounter(w, stats_.mem_reads);
-    saveCounter(w, stats_.mem_writes);
-    saveCounter(w, stats_.l2_evictions);
-    saveCounter(w, stats_.stale_acks_dropped);
-    saveCounter(w, stats_.late_writebacks_merged);
-    saveCounter(w, stats_.sync_updates);
-    saveCounter(w, stats_.l2_accesses);
-}
-
-void
-Directory::loadState(snapshot::Reader &r)
-{
-    using namespace snapshot;
-
-    const std::uint64_t num_lines = r.u64();
-    std::vector<CacheArray<DirMeta>::Line> lines(num_lines);
-    for (auto &line : lines) {
-        line.tag = r.u64();
-        line.valid = r.boolean();
-        line.lru = r.u64();
-        line.meta.state = static_cast<DirState>(r.u8());
-        line.meta.sharers = r.u64();
-        line.meta.owner = r.u32();
-        line.meta.dirty = r.boolean();
-    }
-    const std::uint64_t lru_clock = r.u64();
-    array_.rawRestore(std::move(lines), lru_clock);
-
-    txns_.clear();
-    const std::uint64_t num_txns = r.u64();
-    for (std::uint64_t i = 0; i < num_txns; ++i) {
-        const Addr line = r.u64();
-        Txn &txn = txns_.at(txns_.alloc(line));
-        txn.kind = static_cast<Txn::Kind>(r.u8());
-        txn.requester = r.u32();
-        txn.upgrade = r.boolean();
-        txn.acks_pending = r.i32();
-        txn.epoch = r.u64();
-        txn.grant_type = static_cast<MsgType>(r.u8());
-        const std::uint64_t num_pending = r.u64();
-        for (std::uint64_t j = 0; j < num_pending; ++j)
-            txn.pending.push_back(loadMessage(r));
-    }
-    epochCounter_ = r.u64();
-
-    inQueue_.clear();
-    const std::uint64_t num_in = r.u64();
-    for (std::uint64_t i = 0; i < num_in; ++i)
-        inQueue_.push_back(loadMessage(r));
-    outbox_.clear();
-    const std::uint64_t num_out = r.u64();
-    for (std::uint64_t i = 0; i < num_out; ++i) {
-        OutMsg out;
-        out.ready_at = r.u64();
-        out.dst = r.u32();
-        out.msg = loadMessage(r);
-        outbox_.push_back(out);
-    }
-    deferredFills_.resize(r.u64());
-    for (Message &msg : deferredFills_)
-        msg = loadMessage(r);
-
-    syncVars_.clear();
-    const std::uint64_t num_vars = r.u64();
-    for (std::uint64_t i = 0; i < num_vars; ++i) {
-        const Addr word = r.u64();
-        SyncVar &var = syncVars_[word];
-        var.value = r.u64();
-        var.version = r.u64();
-        var.subscribers = r.u64();
-    }
-    syncLinks_.clear();
-    const std::uint64_t num_links = r.u64();
-    for (std::uint64_t i = 0; i < num_links; ++i) {
-        const NodeId n = r.u32();
-        const Addr word = r.u64();
-        const std::uint64_t version = r.u64();
-        syncLinks_.emplace(n, std::make_pair(word, version));
-    }
-
-    now_ = r.u64();
-    loadCounter(r, stats_.requests);
-    loadCounter(r, stats_.nacks_sent);
-    loadCounter(r, stats_.invalidations_sent);
-    loadCounter(r, stats_.downgrades_sent);
-    loadCounter(r, stats_.mem_reads);
-    loadCounter(r, stats_.mem_writes);
-    loadCounter(r, stats_.l2_evictions);
-    loadCounter(r, stats_.stale_acks_dropped);
-    loadCounter(r, stats_.late_writebacks_merged);
-    loadCounter(r, stats_.sync_updates);
-    loadCounter(r, stats_.l2_accesses);
+    ar(now_, stats_.requests, stats_.nacks_sent, stats_.invalidations_sent,
+       stats_.downgrades_sent, stats_.mem_reads, stats_.mem_writes,
+       stats_.l2_evictions, stats_.stale_acks_dropped,
+       stats_.late_writebacks_merged, stats_.sync_updates,
+       stats_.l2_accesses);
 }
 
 } // namespace fsoi::coherence
@@ -1006,18 +860,14 @@ Directory::debugDump() const
                  "%zu deferred\n",
                  node_, txns_.size(), inQueue_.size(), outbox_.size(),
                  deferredFills_.size());
-    for (int i = 0; i < txns_.capacity(); ++i) {
-        if (txns_.lineAt(i) == TxnTable::kFreeLine)
-            continue;
-        const Addr line = txns_.lineAt(i);
-        const Txn &txn = txns_.at(i);
+    txns_.forEach([&](Addr line, const Txn &txn) {
         std::fprintf(stderr,
                      "  txn line=%llx kind=%d req=%u acks=%d grant=%d "
                      "pending=%zu state=%s\n",
                      (unsigned long long)line, (int)txn.kind,
                      txn.requester, txn.acks_pending, (int)txn.grant_type,
                      txn.pending.size(), dirStateName(lineState(line)));
-    }
+    });
 }
 
 } // namespace fsoi::coherence

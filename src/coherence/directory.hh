@@ -30,17 +30,14 @@
 
 #include "coherence/cache_array.hh"
 #include "coherence/functional_memory.hh"
-#include "common/logging.hh"
+#include "coherence/line_table.hh"
 #include "coherence/message.hh"
 #include "coherence/transport.hh"
 #include "common/stats.hh"
 #include "obs/stat_registry.hh"
 
 namespace fsoi::obs { class FlightRecorder; }
-namespace fsoi::snapshot {
-class Writer;
-class Reader;
-} // namespace fsoi::snapshot
+namespace fsoi::snapshot { class Archive; }
 
 namespace fsoi::coherence {
 
@@ -183,13 +180,12 @@ class Directory
     static const char *txnKindName(std::uint8_t kind);
 
     /**
-     * Checkpoint/restore (snapshot/). Hash-keyed tables (transactions,
-     * sync vars, sync links) are written sorted by key so snapshot
-     * bytes never depend on hash-table iteration order; no behaviour
-     * here iterates them, so rebuild order is immaterial.
+     * Checkpoint/restore (snapshot/serialize.hh). Keyed tables
+     * (transactions, sync vars, sync links) are written sorted by key
+     * so snapshot bytes never depend on slot or hash-table order; no
+     * behaviour here iterates them, so rebuild order is immaterial.
      */
-    void saveState(snapshot::Writer &w) const;
-    void loadState(snapshot::Reader &r);
+    void serialize(snapshot::Archive &ar);
 
   private:
     struct DirMeta
@@ -198,6 +194,13 @@ class Directory
         std::uint64_t sharers = 0; //!< bitmask over core nodes
         NodeId owner = kInvalidNode;
         bool dirty = false;        //!< L2 copy newer than memory
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(state, sharers, owner, dirty);
+        }
     };
     using Line = CacheArray<DirMeta>::Line;
 
@@ -222,91 +225,6 @@ class Directory
         std::uint64_t epoch = 0;
         MsgType grant_type = MsgType::Nack; //!< for GrantWait matching
         std::deque<Message> pending;        //!< "z" queue
-    };
-
-    /**
-     * Outstanding-transaction table as a struct-of-arrays: line
-     * addresses in one flat key array (kFreeLine sentinel = free slot)
-     * parallel to the Txn payloads, free slots on a LIFO free list,
-     * growing only when every slot is taken. Lookup is a linear scan
-     * of the key array -- a directory rarely holds more than a handful
-     * of open transactions, so the scan stays within a cache line or
-     * two and beats the hash-and-chase of the unordered_map this
-     * replaces on every message dispatch. Slot order depends on
-     * allocation history; the only behaviour-visible iteration
-     * (saveState) sorts by line address.
-     */
-    class TxnTable
-    {
-      public:
-        static constexpr Addr kFreeLine = ~Addr(0);
-
-        /** Slot index of @p line, or -1 when absent. */
-        int
-        find(Addr line) const
-        {
-            const int cap = static_cast<int>(lines_.size());
-            for (int i = 0; i < cap; ++i)
-                if (lines_[i] == line)
-                    return i;
-            return -1;
-        }
-
-        bool empty() const { return used_ == 0; }
-        std::size_t size() const
-        { return static_cast<std::size_t>(used_); }
-        int capacity() const { return static_cast<int>(lines_.size()); }
-        Addr lineAt(int idx) const
-        { return lines_[static_cast<std::size_t>(idx)]; }
-        Txn &at(int idx) { return slots_[static_cast<std::size_t>(idx)]; }
-        const Txn &at(int idx) const
-        { return slots_[static_cast<std::size_t>(idx)]; }
-        bool contains(Addr line) const { return find(line) >= 0; }
-
-        /** Claim a slot for @p line, growing the arrays if needed. */
-        int
-        alloc(Addr line)
-        {
-            FSOI_ASSERT(line != kFreeLine);
-            if (free_.empty()) {
-                lines_.push_back(kFreeLine);
-                slots_.emplace_back();
-                free_.push_back(static_cast<int>(lines_.size()) - 1);
-            }
-            const int idx = free_.back();
-            free_.pop_back();
-            lines_[static_cast<std::size_t>(idx)] = line;
-            slots_[static_cast<std::size_t>(idx)] = Txn{};
-            ++used_;
-            return idx;
-        }
-
-        /** Move the entry out and return the slot to the free list. */
-        Txn
-        release(int idx)
-        {
-            Txn out = std::move(slots_[static_cast<std::size_t>(idx)]);
-            slots_[static_cast<std::size_t>(idx)] = Txn{};
-            lines_[static_cast<std::size_t>(idx)] = kFreeLine;
-            free_.push_back(idx);
-            --used_;
-            return out;
-        }
-
-        void
-        clear()
-        {
-            lines_.clear();
-            slots_.clear();
-            free_.clear();
-            used_ = 0;
-        }
-
-      private:
-        std::vector<Addr> lines_;
-        std::vector<Txn> slots_;
-        std::vector<int> free_;
-        int used_ = 0;
     };
 
     struct OutMsg
@@ -370,7 +288,8 @@ class Directory
     ControlBitSender controlBitSender_;
 
     CacheArray<DirMeta> array_;
-    TxnTable txns_;
+    /** Open transactions by line; grows when every slot is taken. */
+    LineTable<Txn> txns_;
     std::uint64_t epochCounter_ = 0;
     std::deque<Message> inQueue_;
     std::vector<OutMsg> outbox_;

@@ -11,11 +11,8 @@
 #ifndef FSOI_COHERENCE_FUNCTIONAL_MEMORY_HH
 #define FSOI_COHERENCE_FUNCTIONAL_MEMORY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -40,23 +37,13 @@ class FunctionalMemory
 
     void clear() { words_.clear(); }
 
-    /** All touched words sorted by address (checkpoint/restore: a
-     *  canonical order keeps snapshot hashes stable). */
-    std::vector<std::pair<Addr, std::uint64_t>>
-    exportWords() const
-    {
-        std::vector<std::pair<Addr, std::uint64_t>> out(words_.begin(),
-                                                        words_.end());
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-
+    /** Checkpoint hook (snapshot/serialize.hh): every touched word,
+     *  in ascending address order so snapshot hashes stay stable. */
+    template <class Ar>
     void
-    importWords(const std::vector<std::pair<Addr, std::uint64_t>> &words)
+    serialize(Ar &ar)
     {
-        words_.clear();
-        for (const auto &[addr, value] : words)
-            words_.emplace(addr, value);
+        ar.sortedMap(words_);
     }
 
   private:

@@ -6,9 +6,8 @@
 
 #include "common/logging.hh"
 #include "common/trace.hh"
-#include "coherence/message_io.hh"
 #include "obs/flight_recorder.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::coherence {
 
@@ -667,15 +666,12 @@ L1Cache::tick(Cycle now)
     // than the uninterrupted run's).
     {
         retryScratch_.clear();
-        for (int i = 0; i < mshrs_.capacity(); ++i) {
-            if (mshrs_.lineAt(i) == MshrTable::kFreeLine)
-                continue;
-            const Mshr &mshr = mshrs_.at(i);
+        mshrs_.forEach([&](Addr line, const Mshr &mshr) {
             if (mshr.retry_at != kNoCycle && mshr.retry_at <= now
                 && !mshr.request_outstanding) {
-                retryScratch_.push_back(mshrs_.lineAt(i));
+                retryScratch_.push_back(line);
             }
-        }
+        });
         if (!retryScratch_.empty()) {
             std::sort(retryScratch_.begin(), retryScratch_.end());
             for (const Addr line : retryScratch_)
@@ -687,171 +683,40 @@ L1Cache::tick(Cycle now)
 }
 
 void
-L1Cache::saveState(snapshot::Writer &w) const
+L1Cache::serialize(snapshot::Archive &ar, const Callback &core_cb)
 {
-    using namespace snapshot;
-
-    const auto &lines = array_.rawLines();
-    w.u64(lines.size());
-    for (const auto &line : lines) {
-        w.u64(line.tag);
-        w.boolean(line.valid);
-        w.u64(line.lru);
-        w.u8(static_cast<std::uint8_t>(line.meta.state));
-    }
-    w.u64(array_.rawLruClock());
-
-    std::vector<Addr> order;
-    order.reserve(mshrs_.size());
-    for (int i = 0; i < mshrs_.capacity(); ++i)
-        if (mshrs_.lineAt(i) != MshrTable::kFreeLine)
-            order.push_back(mshrs_.lineAt(i));
-    std::sort(order.begin(), order.end());
-    w.u64(order.size());
-    for (const Addr line : order) {
-        const Mshr &mshr = mshrs_.at(mshrs_.find(line));
-        w.u64(line);
-        w.u8(static_cast<std::uint8_t>(mshr.want));
-        w.u64(mshr.loads.size());
-        for (const auto &[addr, cb] : mshr.loads)
-            w.u64(addr);
-        w.boolean(mshr.store_pending);
-        w.boolean(mshr.is_ll);
-        w.boolean(mshr.is_sc);
-        w.u64(mshr.sc_addr);
-        w.u64(mshr.sc_value);
-        w.boolean(mshr.inv_pending);
-        w.boolean(mshr.dwg_pending);
-        w.u64(mshr.retry_at);
-        w.boolean(mshr.request_outstanding);
-        w.u64(mshr.created);
-    }
-
-    w.u64(storeBuffer_.size());
-    for (const StoreEntry &entry : storeBuffer_) {
-        w.u64(entry.addr);
-        w.u64(entry.value);
-    }
-    w.u64(outbox_.size());
-    for (const OutMsg &out : outbox_) {
-        w.u32(out.dst);
-        saveMessage(w, out.msg);
-    }
-    w.u64(deferredData_.size());
-    for (const Message &msg : deferredData_)
-        saveMessage(w, msg);
-    w.u64(pendingDone_.size());
-    for (const PendingDone &done : pendingDone_) {
-        w.u64(done.due);
-        w.u64(done.value);
-        w.boolean(done.success);
-    }
-
-    w.u64(linkLine_);
-    w.boolean(linkValid_);
-    w.u64(now_);
-
-    saveCounter(w, stats_.loads);
-    saveCounter(w, stats_.stores);
-    saveCounter(w, stats_.load_hits);
-    saveCounter(w, stats_.store_hits);
-    saveCounter(w, stats_.misses);
-    saveCounter(w, stats_.upgrades);
-    saveCounter(w, stats_.writebacks);
-    saveCounter(w, stats_.invalidations_received);
-    saveCounter(w, stats_.downgrades_received);
-    saveCounter(w, stats_.nacks);
-    saveCounter(w, stats_.sc_failures);
-    saveCounter(w, stats_.l1_accesses);
-    saveHistogram(w, stats_.miss_latency);
-}
-
-void
-L1Cache::loadState(snapshot::Reader &r, const Callback &core_cb)
-{
-    using namespace snapshot;
-
-    const std::uint64_t num_lines = r.u64();
-    std::vector<CacheArray<LineMeta>::Line> lines(num_lines);
-    for (auto &line : lines) {
-        line.tag = r.u64();
-        line.valid = r.boolean();
-        line.lru = r.u64();
-        line.meta.state = static_cast<L1State>(r.u8());
-    }
-    const std::uint64_t lru_clock = r.u64();
-    array_.rawRestore(std::move(lines), lru_clock);
-
-    mshrs_.reset(config_.num_mshrs);
-    const std::uint64_t num_mshrs = r.u64();
-    for (std::uint64_t i = 0; i < num_mshrs; ++i) {
-        const Addr line = r.u64();
-        Mshr &mshr = mshrs_.at(mshrs_.alloc(line));
-        mshr.want = static_cast<Mshr::Want>(r.u8());
-        const std::uint64_t num_loads = r.u64();
-        for (std::uint64_t j = 0; j < num_loads; ++j)
-            mshr.loads.emplace_back(r.u64(), core_cb);
-        mshr.store_pending = r.boolean();
-        mshr.is_ll = r.boolean();
-        mshr.is_sc = r.boolean();
-        mshr.sc_addr = r.u64();
-        mshr.sc_value = r.u64();
-        if (mshr.is_sc)
+    ar(array_);
+    mshrs_.serialize(ar, [&](Mshr &mshr) {
+        ar(mshr.want);
+        ar.seq(mshr.loads, [&](std::pair<Addr, Callback> &load) {
+            ar(load.first);
+            if (ar.loading())
+                load.second = core_cb;
+        });
+        ar(mshr.store_pending, mshr.is_ll, mshr.is_sc, mshr.sc_addr,
+           mshr.sc_value, mshr.inv_pending, mshr.dwg_pending,
+           mshr.retry_at, mshr.request_outstanding, mshr.created);
+        if (ar.loading() && mshr.is_sc)
             mshr.sc_cb = core_cb;
-        mshr.inv_pending = r.boolean();
-        mshr.dwg_pending = r.boolean();
-        mshr.retry_at = r.u64();
-        mshr.request_outstanding = r.boolean();
-        mshr.created = r.u64();
-    }
+    });
 
-    storeBuffer_.clear();
-    const std::uint64_t num_stores = r.u64();
-    for (std::uint64_t i = 0; i < num_stores; ++i) {
-        StoreEntry entry;
-        entry.addr = r.u64();
-        entry.value = r.u64();
-        storeBuffer_.push_back(entry);
-    }
-    outbox_.clear();
-    const std::uint64_t num_out = r.u64();
-    for (std::uint64_t i = 0; i < num_out; ++i) {
-        OutMsg out;
-        out.dst = r.u32();
-        out.msg = loadMessage(r);
-        outbox_.push_back(out);
-    }
-    deferredData_.resize(r.u64());
-    for (Message &msg : deferredData_)
-        msg = loadMessage(r);
-    pendingDone_.clear();
-    const std::uint64_t num_done = r.u64();
-    for (std::uint64_t i = 0; i < num_done; ++i) {
-        PendingDone done;
-        done.due = r.u64();
-        done.value = r.u64();
-        done.success = r.boolean();
-        done.cb = core_cb;
-        pendingDone_.push_back(std::move(done));
-    }
+    ar.seq(storeBuffer_, [&](StoreEntry &entry) {
+        ar(entry.addr, entry.value);
+    });
+    ar.seq(outbox_, [&](OutMsg &out) { ar(out.dst, out.msg); });
+    ar.seq(deferredData_);
+    ar.seq(pendingDone_, [&](PendingDone &done) {
+        ar(done.due, done.value, done.success);
+        if (ar.loading())
+            done.cb = core_cb;
+    });
+    ar(linkLine_, linkValid_, now_);
 
-    linkLine_ = r.u64();
-    linkValid_ = r.boolean();
-    now_ = r.u64();
-
-    loadCounter(r, stats_.loads);
-    loadCounter(r, stats_.stores);
-    loadCounter(r, stats_.load_hits);
-    loadCounter(r, stats_.store_hits);
-    loadCounter(r, stats_.misses);
-    loadCounter(r, stats_.upgrades);
-    loadCounter(r, stats_.writebacks);
-    loadCounter(r, stats_.invalidations_received);
-    loadCounter(r, stats_.downgrades_received);
-    loadCounter(r, stats_.nacks);
-    loadCounter(r, stats_.sc_failures);
-    loadCounter(r, stats_.l1_accesses);
-    loadHistogram(r, stats_.miss_latency);
+    ar(stats_.loads, stats_.stores, stats_.load_hits, stats_.store_hits,
+       stats_.misses, stats_.upgrades, stats_.writebacks,
+       stats_.invalidations_received, stats_.downgrades_received,
+       stats_.nacks, stats_.sc_failures, stats_.l1_accesses,
+       stats_.miss_latency);
 }
 
 Cycle
@@ -865,13 +730,10 @@ L1Cache::nextEventCycle(Cycle now) const
     for (const PendingDone &done : pendingDone_)
         next = std::min(next, std::max(done.due, now + 1));
 
-    for (int i = 0; i < mshrs_.capacity(); ++i) {
-        if (mshrs_.lineAt(i) == MshrTable::kFreeLine)
-            continue;
-        const Mshr &mshr = mshrs_.at(i);
+    mshrs_.forEach([&](Addr, const Mshr &mshr) {
         if (mshr.retry_at != kNoCycle && !mshr.request_outstanding)
             next = std::min(next, std::max(mshr.retry_at, now + 1));
-    }
+    });
 
     if (!storeBuffer_.empty()) {
         // The drain makes tick-driven progress (one head per cycle)
@@ -910,11 +772,7 @@ L1Cache::debugDump() const
                  "%zu pendingDone, %zu deferred\n",
                  node_, mshrs_.size(), storeBuffer_.size(), outbox_.size(),
                  pendingDone_.size(), deferredData_.size());
-    for (int i = 0; i < mshrs_.capacity(); ++i) {
-        if (mshrs_.lineAt(i) == MshrTable::kFreeLine)
-            continue;
-        const Addr line = mshrs_.lineAt(i);
-        const Mshr &mshr = mshrs_.at(i);
+    mshrs_.forEach([](Addr line, const Mshr &mshr) {
         std::fprintf(stderr,
                      "  mshr line=%llx want=%d outstanding=%d retry_at=%llu"
                      " inv_pend=%d dwg_pend=%d store_pend=%d sc=%d "
@@ -925,7 +783,7 @@ L1Cache::debugDump() const
                      (int)mshr.inv_pending, (int)mshr.dwg_pending,
                      (int)mshr.store_pending, (int)mshr.is_sc,
                      mshr.loads.size());
-    }
+    });
 }
 
 } // namespace fsoi::coherence

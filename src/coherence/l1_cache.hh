@@ -27,18 +27,15 @@
 #include <vector>
 
 #include "coherence/cache_array.hh"
-#include "common/logging.hh"
 #include "coherence/functional_memory.hh"
+#include "coherence/line_table.hh"
 #include "coherence/message.hh"
 #include "coherence/transport.hh"
 #include "common/stats.hh"
 #include "obs/stat_registry.hh"
 
 namespace fsoi::obs { class FlightRecorder; }
-namespace fsoi::snapshot {
-class Writer;
-class Reader;
-} // namespace fsoi::snapshot
+namespace fsoi::snapshot { class Archive; }
 
 namespace fsoi::coherence {
 
@@ -182,6 +179,13 @@ class L1Cache
     struct LineMeta
     {
         L1State state = L1State::I;
+
+        template <class Ar>
+        void
+        serialize(Ar &ar)
+        {
+            ar(state);
+        }
     };
     using Line = CacheArray<LineMeta>::Line;
 
@@ -201,89 +205,6 @@ class L1Cache
         Cycle retry_at = kNoCycle;  //!< NACK back-off deadline
         bool request_outstanding = false;
         Cycle created = 0;          //!< miss start (latency histogram)
-    };
-
-    /**
-     * Fixed-capacity MSHR table as a struct-of-arrays: the line
-     * addresses live in one flat array (kFreeLine sentinel = free
-     * slot) parallel to the Mshr payloads, and free slots sit on a
-     * LIFO free list. Lookup is a linear scan of the key array —
-     * capacity is num_mshrs (8 by default), so the whole scan touches
-     * one cache line, which beats the hash-and-chase of the
-     * unordered_map this replaces on the per-tick hot paths. Slot
-     * order depends on allocation history, so every behaviour-visible
-     * iteration (NACK retries, saveState) sorts by line address; the
-     * remaining scans (nextEventCycle, quiescent) are order-blind.
-     */
-    class MshrTable
-    {
-      public:
-        static constexpr Addr kFreeLine = ~Addr(0);
-
-        void
-        reset(int capacity)
-        {
-            lines_.assign(static_cast<std::size_t>(capacity), kFreeLine);
-            slots_.clear();
-            slots_.resize(static_cast<std::size_t>(capacity));
-            free_.clear();
-            for (int i = capacity; i-- > 0;)
-                free_.push_back(i);
-            used_ = 0;
-        }
-
-        /** Slot index of @p line, or -1 when absent. */
-        int
-        find(Addr line) const
-        {
-            const int cap = static_cast<int>(lines_.size());
-            for (int i = 0; i < cap; ++i)
-                if (lines_[i] == line)
-                    return i;
-            return -1;
-        }
-
-        bool full() const { return free_.empty(); }
-        bool empty() const { return used_ == 0; }
-        std::size_t size() const
-        { return static_cast<std::size_t>(used_); }
-        int capacity() const { return static_cast<int>(lines_.size()); }
-        Addr lineAt(int idx) const
-        { return lines_[static_cast<std::size_t>(idx)]; }
-        Mshr &at(int idx) { return slots_[static_cast<std::size_t>(idx)]; }
-        const Mshr &at(int idx) const
-        { return slots_[static_cast<std::size_t>(idx)]; }
-
-        /** Claim a free slot for @p line; table must not be full. */
-        int
-        alloc(Addr line)
-        {
-            FSOI_ASSERT(line != kFreeLine && !free_.empty());
-            const int idx = free_.back();
-            free_.pop_back();
-            lines_[static_cast<std::size_t>(idx)] = line;
-            slots_[static_cast<std::size_t>(idx)] = Mshr{};
-            ++used_;
-            return idx;
-        }
-
-        /** Move the entry out and return the slot to the free list. */
-        Mshr
-        release(int idx)
-        {
-            Mshr out = std::move(slots_[static_cast<std::size_t>(idx)]);
-            slots_[static_cast<std::size_t>(idx)] = Mshr{};
-            lines_[static_cast<std::size_t>(idx)] = kFreeLine;
-            free_.push_back(idx);
-            --used_;
-            return out;
-        }
-
-      private:
-        std::vector<Addr> lines_;
-        std::vector<Mshr> slots_;
-        std::vector<int> free_;
-        int used_ = 0;
     };
 
     struct StoreEntry
@@ -323,7 +244,8 @@ class L1Cache
     std::function<NodeId(Addr)> homeOf_;
 
     CacheArray<LineMeta> array_;
-    MshrTable mshrs_;
+    /** Outstanding misses by line; NACK retries issue in line order. */
+    LineTable<Mshr> mshrs_;
     std::deque<StoreEntry> storeBuffer_;
     std::deque<OutMsg> outbox_;
     std::vector<Message> deferredData_; //!< fills waiting for a free way
@@ -347,15 +269,14 @@ class L1Cache
 
   public:
     /**
-     * Checkpoint/restore (snapshot/). Completion callbacks are wiring,
-     * not data: every pending callback in this controller is the owning
-     * core's canonical completion callback, so restore re-binds
-     * deserialized entries to @p core_cb instead of serializing
-     * closures. MSHRs are written sorted by line address so snapshot
-     * bytes never depend on slot-allocation history.
+     * Checkpoint/restore (snapshot/serialize.hh). Completion callbacks
+     * are wiring, not data: every pending callback in this controller
+     * is the owning core's canonical completion callback, so a load
+     * re-binds the entries to @p core_cb instead of serializing
+     * closures. MSHRs go sorted by line address (LineTable::serialize)
+     * so snapshot bytes never depend on slot-allocation history.
      */
-    void saveState(snapshot::Writer &w) const;
-    void loadState(snapshot::Reader &r, const Callback &core_cb);
+    void serialize(snapshot::Archive &ar, const Callback &core_cb);
 };
 
 } // namespace fsoi::coherence

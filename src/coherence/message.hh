@@ -98,6 +98,16 @@ struct Message
      * enclosed. Set for owner invalidations (DM.DMD / DM.DID flows).
      */
     bool explicit_ack = false;
+
+    /** Checkpoint hook (snapshot/serialize.hh): every field, so struct
+     *  padding never reaches the snapshot hashes. */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(type, line, requester, value, version, success, subscribe,
+           explicit_ack);
+    }
 };
 
 /**

@@ -128,17 +128,16 @@ class SlotPool
     std::size_t capacity() const { return slots_.size(); }
     std::size_t liveCount() const { return slots_.size() - free_.size(); }
 
-    // --- checkpoint/restore (snapshot/). The slot array AND the LIFO
-    // free list round-trip verbatim so future alloc() calls hand out
-    // the same handles in the same order as the uninterrupted run.
-    const std::vector<T> &rawSlots() const { return slots_; }
-    const std::vector<Handle> &rawFreeList() const { return free_; }
-
+    /** Checkpoint hook (snapshot/serialize.hh). The slot array AND
+     *  the LIFO free list round-trip verbatim so future alloc() calls
+     *  hand out the same handles in the same order as the
+     *  uninterrupted run. */
+    template <class Ar>
     void
-    rawRestore(std::vector<T> slots, std::vector<Handle> free_list)
+    serialize(Ar &ar)
     {
-        slots_ = std::move(slots);
-        free_ = std::move(free_list);
+        ar.seq(slots_);
+        ar.seq(free_);
     }
 
   private:

@@ -37,20 +37,12 @@ class Rng
             word = splitmix64(seed);
     }
 
-    /** Raw generator state, for checkpoint/restore (snapshot/). */
+    /** Checkpoint hook (snapshot/serialize.hh): the raw state. */
+    template <class Ar>
     void
-    exportState(std::uint64_t out[4]) const
+    serialize(Ar &ar)
     {
-        for (int i = 0; i < 4; ++i)
-            out[i] = state_[i];
-    }
-
-    /** Restore raw state captured by exportState(). */
-    void
-    importState(const std::uint64_t in[4])
-    {
-        for (int i = 0; i < 4; ++i)
-            state_[i] = in[i];
+        ar(state_);
     }
 
     /** Next raw 64-bit output. */

@@ -36,8 +36,13 @@ class Counter
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    /** Restore a checkpointed value (snapshot/ only). */
-    void restore(std::uint64_t value) { value_ = value; }
+    /** Checkpoint hook (snapshot/serialize.hh). */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(value_);
+    }
 
   private:
     std::uint64_t value_ = 0;
@@ -85,25 +90,14 @@ class Accumulator
         max_ = -std::numeric_limits<double>::infinity();
     }
 
-    /** Exact internal state, for checkpoint/restore (snapshot/). The
-     *  raw min/max (infinities when empty) and sumsq round-trip so a
-     *  restored accumulator continues bit-identically. */
-    struct Raw
-    {
-        std::uint64_t n;
-        double sum, sumsq, min, max;
-    };
-
-    Raw exportState() const { return {n_, sum_, sumsq_, min_, max_}; }
-
+    /** Checkpoint hook (snapshot/serialize.hh): the exact internal
+     *  state. The raw min/max (infinities when empty) and sumsq
+     *  round-trip so a restored accumulator continues bit-identically. */
+    template <class Ar>
     void
-    importState(const Raw &raw)
+    serialize(Ar &ar)
     {
-        n_ = raw.n;
-        sum_ = raw.sum;
-        sumsq_ = raw.sumsq;
-        min_ = raw.min;
-        max_ = raw.max;
+        ar(n_, sum_, sumsq_, min_, max_);
     }
 
   private:
@@ -182,23 +176,15 @@ class Histogram
         std::fill(bins_.begin(), bins_.end(), 0);
     }
 
-    // --- checkpoint/restore (snapshot/): exact internal state. The
-    // bin layout (width, count) is construction-time configuration and
-    // must already match; importState asserts that.
-    const std::vector<std::uint64_t> &rawBins() const { return bins_; }
-    const Accumulator &rawAccumulator() const { return acc_; }
-
+    /** Checkpoint hook (snapshot/serialize.hh): the exact internal
+     *  state. The bin layout (width, count) is construction-time
+     *  configuration; a restore into a different one is fatal. */
+    template <class Ar>
     void
-    importState(std::uint64_t total, std::uint64_t underflow,
-                const Accumulator::Raw &acc,
-                const std::vector<std::uint64_t> &bins)
+    serialize(Ar &ar)
     {
-        FSOI_ASSERT(bins.size() == bins_.size(),
-                    "histogram shape mismatch on restore");
-        total_ = total;
-        underflow_ = underflow;
-        acc_.importState(acc);
-        bins_ = bins;
+        ar(total_, underflow_, acc_);
+        ar.fixed(bins_, "histogram shape");
     }
 
   private:

@@ -5,7 +5,7 @@
 
 #include "coherence/directory.hh"
 #include "common/logging.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::cpu {
 
@@ -48,7 +48,7 @@ Core::completionCallback()
     // Unconditionally latch all three rendezvous fields: each waiting
     // mode reads only the fields its operation defines, so the extra
     // stores are unobservable — and a single canonical callback is what
-    // lets L1Cache::loadState() re-bind restored requests to it.
+    // lets L1Cache::serialize() re-bind restored requests to it.
     return [this](std::uint64_t v, bool ok) {
         cbArrived_ = true;
         cbValue_ = v;
@@ -645,124 +645,22 @@ Core::tick(Cycle now)
 }
 
 void
-Core::saveState(snapshot::Writer &w) const
+Core::serialize(snapshot::Archive &ar)
 {
-    using snapshot::saveCounter;
+    ar(mode_, instr_, busyUntil_, now_, cbArrived_, cbValue_, cbSuccess_);
+    ar.sortedMap(senses_);
+    ar(mySense_, llValue_, subWaitingDirect_, subWaitWord_,
+       subDirectArrived_, subDirectValue_, subDirectSuccess_);
+    ar.sortedMap(subValues_);
+    ar(syncStep_, scFails_, rng_);
 
-    w.u8(static_cast<std::uint8_t>(mode_));
-    w.u8(static_cast<std::uint8_t>(instr_.op));
-    w.u64(instr_.addr);
-    w.u32(instr_.cycles);
-    w.u64(instr_.value);
-    w.u64(busyUntil_);
-    w.u64(now_);
-
-    w.boolean(cbArrived_);
-    w.u64(cbValue_);
-    w.boolean(cbSuccess_);
-
-    std::vector<Addr> keys;
-    keys.reserve(senses_.size());
-    for (const auto &[addr, sense] : senses_)
-        keys.push_back(addr);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (const Addr addr : keys) {
-        w.u64(addr);
-        w.u64(senses_.at(addr));
-    }
-    w.u64(mySense_);
-    w.u64(llValue_);
-
-    w.boolean(subWaitingDirect_);
-    w.u64(subWaitWord_);
-    w.boolean(subDirectArrived_);
-    w.u64(subDirectValue_);
-    w.boolean(subDirectSuccess_);
-    keys.clear();
-    for (const auto &[addr, value] : subValues_)
-        keys.push_back(addr);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (const Addr addr : keys) {
-        w.u64(addr);
-        w.u64(subValues_.at(addr));
-    }
-
-    w.i32(syncStep_);
-    w.i32(scFails_);
-    snapshot::saveRng(w, rng_);
-
-    saveCounter(w, stats_.instructions);
-    saveCounter(w, stats_.loads);
-    saveCounter(w, stats_.stores);
-    saveCounter(w, stats_.locks_acquired);
-    saveCounter(w, stats_.barriers_passed);
-    saveCounter(w, stats_.spin_loops);
-    saveCounter(w, stats_.stall_cycles);
-    saveCounter(w, stats_.active_cycles);
-    saveCounter(w, stats_.sync_packets);
+    ar(stats_.instructions, stats_.loads, stats_.stores,
+       stats_.locks_acquired, stats_.barriers_passed, stats_.spin_loops,
+       stats_.stall_cycles, stats_.active_cycles, stats_.sync_packets);
 
     FSOI_ASSERT(stream_ != nullptr, "core %u has no instruction stream",
                 node_);
-    stream_->saveState(w);
-}
-
-void
-Core::loadState(snapshot::Reader &r)
-{
-    using snapshot::loadCounter;
-
-    mode_ = static_cast<Mode>(r.u8());
-    instr_.op = static_cast<workload::Op>(r.u8());
-    instr_.addr = r.u64();
-    instr_.cycles = r.u32();
-    instr_.value = r.u64();
-    busyUntil_ = r.u64();
-    now_ = r.u64();
-
-    cbArrived_ = r.boolean();
-    cbValue_ = r.u64();
-    cbSuccess_ = r.boolean();
-
-    senses_.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr addr = r.u64();
-        senses_[addr] = r.u64();
-    }
-    mySense_ = r.u64();
-    llValue_ = r.u64();
-
-    subWaitingDirect_ = r.boolean();
-    subWaitWord_ = r.u64();
-    subDirectArrived_ = r.boolean();
-    subDirectValue_ = r.u64();
-    subDirectSuccess_ = r.boolean();
-    subValues_.clear();
-    n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr addr = r.u64();
-        subValues_[addr] = r.u64();
-    }
-
-    syncStep_ = r.i32();
-    scFails_ = r.i32();
-    snapshot::loadRng(r, rng_);
-
-    loadCounter(r, stats_.instructions);
-    loadCounter(r, stats_.loads);
-    loadCounter(r, stats_.stores);
-    loadCounter(r, stats_.locks_acquired);
-    loadCounter(r, stats_.barriers_passed);
-    loadCounter(r, stats_.spin_loops);
-    loadCounter(r, stats_.stall_cycles);
-    loadCounter(r, stats_.active_cycles);
-    loadCounter(r, stats_.sync_packets);
-
-    FSOI_ASSERT(stream_ != nullptr, "core %u has no instruction stream",
-                node_);
-    stream_->loadState(r);
+    stream_->serialize(ar);
 }
 
 void

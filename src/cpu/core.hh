@@ -28,10 +28,7 @@
 #include "common/stats.hh"
 #include "workload/instr.hh"
 
-namespace fsoi::snapshot {
-class Writer;
-class Reader;
-} // namespace fsoi::snapshot
+namespace fsoi::snapshot { class Archive; }
 
 namespace fsoi::cpu {
 
@@ -128,19 +125,18 @@ class Core
     /**
      * The canonical L1 completion callback. Every request this core
      * issues carries (a copy of) this callback, which makes pending L1
-     * callbacks restorable: L1Cache::loadState() re-binds deserialized
+     * callbacks restorable: L1Cache::serialize() re-binds loaded
      * entries to it instead of serializing closures.
      */
     coherence::L1Cache::Callback completionCallback();
 
     /**
-     * Checkpoint/restore (snapshot/). The instruction stream saves and
-     * restores itself through InstrStream::saveState/loadState; the
+     * Checkpoint/restore (snapshot/serialize.hh). The instruction
+     * stream describes itself (InstrStream::serialize); the
      * barrier-sense and subscription tables are written sorted by key
      * so snapshot bytes never depend on hash-table iteration order.
      */
-    void saveState(snapshot::Writer &w) const;
-    void loadState(snapshot::Reader &r);
+    void serialize(snapshot::Archive &ar);
 
   private:
     enum class Mode : std::uint8_t

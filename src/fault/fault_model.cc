@@ -6,7 +6,7 @@
 
 #include "common/logging.hh"
 #include "photonics/link_budget.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::fault {
 
@@ -327,45 +327,13 @@ FaultInjector::writeJson(std::ostream &os) const
 }
 
 void
-FaultInjector::saveState(snapshot::Writer &w) const
+FaultInjector::serialize(snapshot::Archive &ar)
 {
-    using namespace snapshot;
-    saveRng(w, transientRng_);
-    w.u64(failStreak_.size());
-    for (const std::uint16_t streak : failStreak_)
-        w.u16(streak);
-    w.u64(blacklist_.size());
-    for (const char b : blacklist_)
-        w.u8(static_cast<std::uint8_t>(b));
-    saveCounter(w, bitErrors_);
-    saveCounter(w, deadChannelLosses_);
-    saveCounter(w, blacklists_);
-    saveCounter(w, redirects_);
-    saveCounter(w, unroutableDrops_);
-    saveCounter(w, retxExhausted_);
-}
-
-void
-FaultInjector::loadState(snapshot::Reader &r)
-{
-    using namespace snapshot;
-    loadRng(r, transientRng_);
-    const std::uint64_t num_streaks = r.u64();
-    FSOI_ASSERT(num_streaks == failStreak_.size(),
-                "fault topology mismatch on restore");
-    for (std::uint16_t &streak : failStreak_)
-        streak = r.u16();
-    const std::uint64_t num_bl = r.u64();
-    FSOI_ASSERT(num_bl == blacklist_.size(),
-                "fault topology mismatch on restore");
-    for (char &b : blacklist_)
-        b = static_cast<char>(r.u8());
-    loadCounter(r, bitErrors_);
-    loadCounter(r, deadChannelLosses_);
-    loadCounter(r, blacklists_);
-    loadCounter(r, redirects_);
-    loadCounter(r, unroutableDrops_);
-    loadCounter(r, retxExhausted_);
+    ar(transientRng_);
+    ar.fixed(failStreak_, "fault topology");
+    ar.fixed(blacklist_, "fault topology");
+    ar(bitErrors_, deadChannelLosses_, blacklists_, redirects_,
+       unroutableDrops_, retxExhausted_);
 }
 
 } // namespace fsoi::fault

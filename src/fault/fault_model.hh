@@ -47,10 +47,7 @@
 #include "common/types.hh"
 #include "obs/stat_registry.hh"
 
-namespace fsoi::snapshot {
-class Writer;
-class Reader;
-} // namespace fsoi::snapshot
+namespace fsoi::snapshot { class Archive; }
 
 namespace fsoi::fault {
 
@@ -242,14 +239,13 @@ class FaultInjector
     void writeJson(std::ostream &os) const;
 
     /**
-     * Checkpoint/restore (snapshot/): the mutable runtime state only —
-     * the transient RNG cursor, failure streaks, the blacklist, and the
-     * fault.* counters. The schedule (dead tables, effective BER) is
-     * reconstructed deterministically from (config, topology) at
-     * construction and is not serialized.
+     * Checkpoint/restore (snapshot/serialize.hh): the mutable runtime
+     * state only — the transient RNG cursor, failure streaks, the
+     * blacklist, and the fault.* counters. The schedule (dead tables,
+     * effective BER) is reconstructed deterministically from (config,
+     * topology) at construction and is not serialized.
      */
-    void saveState(snapshot::Writer &w) const;
-    void loadState(snapshot::Reader &r);
+    void serialize(snapshot::Archive &ar);
 
     /** Encoded rx channel id (see FaultConfig::killRx). */
     std::size_t

@@ -6,8 +6,7 @@
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "fault/fault_model.hh"
-#include "noc/packet_io.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::fsoi {
 
@@ -749,152 +748,42 @@ FsoiNetwork::expireReservations(Cycle now)
 }
 
 void
-FsoiNetwork::saveState(snapshot::Writer &w) const
+FsoiNetwork::serialize(snapshot::Sections &snap, const std::string &prefix)
 {
-    using namespace snapshot;
-    using noc::savePacket;
-    Network::saveState(w);
-    saveCounter(w, activity_.vcsel_slot_cycles);
-    saveCounter(w, activity_.bits_transmitted);
-    saveCounter(w, activity_.confirmations);
-    saveCounter(w, activity_.control_bits);
-    saveCounter(w, activity_.phase_setups);
-    saveRng(w, rng_);
+    snapshot::Archive ar = snap.open(prefix);
+    serializeBase(ar);
+    ar(activity_.vcsel_slot_cycles, activity_.bits_transmitted,
+       activity_.confirmations, activity_.control_bits,
+       activity_.phase_setups, rng_);
 
-    w.u64(lanes_.size());
-    for (const TxLane &ln : lanes_) {
-        w.u64(ln.queue.size());
-        for (const QueuedPacket &qp : ln.queue) {
-            savePacket(w, qp.pkt);
-            w.u64(qp.release_at);
-        }
-        w.u64(ln.retries.size());
-        for (const RetryEntry &re : ln.retries) {
-            savePacket(w, re.pkt);
-            w.u64(re.retry_at);
-        }
-        w.u32(ln.beam_target);
-        w.u64(ln.setup_ready);
-    }
-    for (const auto &fl : inflight_) {
-        w.u64(fl.size());
-        for (const Transmission &tx : fl) {
-            savePacket(w, tx.pkt);
-            w.i32(tx.rx);
-        }
-    }
-    w.u64(confirmations_.size());
-    for (const ConfirmEvent &ev : confirmations_) {
-        w.u64(ev.due);
-        w.boolean(ev.success);
-        w.boolean(ev.hinted_winner);
-        savePacket(w, ev.pkt);
-    }
-    w.u64(controlBits_.size());
-    for (const ControlBitEvent &ev : controlBits_) {
-        w.u64(ev.due);
-        w.u32(ev.src);
-        w.u32(ev.dst);
-        w.u64(ev.tag);
-    }
+    ar.fixed(lanes_, "fsoi endpoint count", [&](TxLane &ln) {
+        ar.seq(ln.queue, [&](QueuedPacket &qp) { ar(qp.pkt, qp.release_at); });
+        ar.seq(ln.retries, [&](RetryEntry &re) { ar(re.pkt, re.retry_at); });
+        ar(ln.beam_target, ln.setup_ready);
+    });
+    for (auto &fl : inflight_)
+        ar.seq(fl, [&](Transmission &tx) { ar(tx.pkt, tx.rx); });
+    ar.seq(confirmations_, [&](ConfirmEvent &ev) {
+        ar(ev.due, ev.success, ev.hinted_winner, ev.pkt);
+    });
+    ar.seq(controlBits_, [&](ControlBitEvent &ev) {
+        ar(ev.due, ev.src, ev.dst, ev.tag);
+    });
     // The reservation set is exactly the keys of the FIFO log
     // (insert-if-absent on reserve, erase on expiry), so only the log
     // is serialized and the set is rebuilt on restore.
-    w.u64(reservationLog_.size());
-    for (const ReservationEntry &re : reservationLog_) {
-        w.u64(re.slot);
-        w.u64(re.key);
+    ar.seq(reservationLog_, [&](ReservationEntry &re) {
+        ar(re.slot, re.key);
+    });
+    if (ar.loading()) {
+        reservations_.clear();
+        for (const ReservationEntry &re : reservationLog_)
+            reservations_.insert(re.key);
     }
-    saveCounter(w, slotsElapsed_[0]);
-    saveCounter(w, slotsElapsed_[1]);
-    for (const auto &per_node : txSlots_) {
-        w.u64(per_node.size());
-        for (const Counter &c : per_node)
-            saveCounter(w, c);
-    }
-    for (const Counter &c : dataCollisionEvents_)
-        saveCounter(w, c);
-    saveAccumulator(w, dataResolution_);
-    w.u64(packetsInFlight_);
-}
-
-void
-FsoiNetwork::loadState(snapshot::Reader &r)
-{
-    using namespace snapshot;
-    using noc::loadPacket;
-    Network::loadState(r);
-    loadCounter(r, activity_.vcsel_slot_cycles);
-    loadCounter(r, activity_.bits_transmitted);
-    loadCounter(r, activity_.confirmations);
-    loadCounter(r, activity_.control_bits);
-    loadCounter(r, activity_.phase_setups);
-    loadRng(r, rng_);
-
-    const std::uint64_t num_lanes = r.u64();
-    FSOI_ASSERT(num_lanes == lanes_.size(),
-                "fsoi endpoint count mismatch on restore");
-    for (TxLane &ln : lanes_) {
-        ln.queue.clear();
-        const std::uint64_t nq = r.u64();
-        for (std::uint64_t i = 0; i < nq; ++i) {
-            QueuedPacket qp;
-            qp.pkt = loadPacket(r);
-            qp.release_at = r.u64();
-            ln.queue.push_back(std::move(qp));
-        }
-        ln.retries.resize(r.u64());
-        for (RetryEntry &re : ln.retries) {
-            re.pkt = loadPacket(r);
-            re.retry_at = r.u64();
-        }
-        ln.beam_target = r.u32();
-        ln.setup_ready = r.u64();
-    }
-    for (auto &fl : inflight_) {
-        fl.resize(r.u64());
-        for (Transmission &tx : fl) {
-            tx.pkt = loadPacket(r);
-            tx.rx = r.i32();
-        }
-    }
-    confirmations_.resize(r.u64());
-    for (ConfirmEvent &ev : confirmations_) {
-        ev.due = r.u64();
-        ev.success = r.boolean();
-        ev.hinted_winner = r.boolean();
-        ev.pkt = loadPacket(r);
-    }
-    controlBits_.resize(r.u64());
-    for (ControlBitEvent &ev : controlBits_) {
-        ev.due = r.u64();
-        ev.src = r.u32();
-        ev.dst = r.u32();
-        ev.tag = r.u64();
-    }
-    reservationLog_.clear();
-    reservations_.clear();
-    const std::uint64_t num_res = r.u64();
-    for (std::uint64_t i = 0; i < num_res; ++i) {
-        ReservationEntry re;
-        re.slot = r.u64();
-        re.key = r.u64();
-        reservations_.insert(re.key);
-        reservationLog_.push_back(re);
-    }
-    loadCounter(r, slotsElapsed_[0]);
-    loadCounter(r, slotsElapsed_[1]);
-    for (auto &per_node : txSlots_) {
-        const std::uint64_t n = r.u64();
-        FSOI_ASSERT(n == per_node.size(),
-                    "fsoi node count mismatch on restore");
-        for (Counter &c : per_node)
-            loadCounter(r, c);
-    }
-    for (Counter &c : dataCollisionEvents_)
-        loadCounter(r, c);
-    loadAccumulator(r, dataResolution_);
-    packetsInFlight_ = r.u64();
+    ar(slotsElapsed_);
+    for (auto &per_node : txSlots_)
+        ar.fixed(per_node, "fsoi node count");
+    ar(dataCollisionEvents_, dataResolution_, packetsInFlight_);
 }
 
 bool

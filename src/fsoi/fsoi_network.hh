@@ -201,8 +201,10 @@ class FsoiNetwork : public noc::Network
      */
     void writeLaneStateJson(std::ostream &os) const;
 
-    void saveState(snapshot::Writer &w) const override;
-    void loadState(snapshot::Reader &r) override;
+    /** Checkpoint/restore; the reservation set is rebuilt from its
+     *  log on load. */
+    void serialize(snapshot::Sections &snap,
+                   const std::string &prefix) override;
 
   private:
     struct QueuedPacket

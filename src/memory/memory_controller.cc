@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "coherence/message_io.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::memory {
 
@@ -95,47 +94,13 @@ MemoryController::quiescent() const
 }
 
 void
-MemoryController::saveState(snapshot::Writer &w) const
+MemoryController::serialize(snapshot::Archive &ar)
 {
-    using snapshot::saveAccumulator;
-    using snapshot::saveCounter;
-
-    w.u64(busyUntil_);
-    w.u64(now_);
-    w.u64(replies_.size());
-    for (const Reply &reply : replies_) {
-        w.u64(reply.ready_at);
-        w.u32(reply.dst);
-        coherence::saveMessage(w, reply.msg);
-    }
-    saveCounter(w, stats_.reads);
-    saveCounter(w, stats_.writes);
-    saveCounter(w, stats_.busy_cycles);
-    saveAccumulator(w, stats_.queue_delay);
-}
-
-void
-MemoryController::loadState(snapshot::Reader &r)
-{
-    using snapshot::loadAccumulator;
-    using snapshot::loadCounter;
-
-    busyUntil_ = r.u64();
-    now_ = r.u64();
-    replies_.clear();
-    const std::uint64_t n = r.u64();
-    replies_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Reply reply;
-        reply.ready_at = r.u64();
-        reply.dst = static_cast<NodeId>(r.u32());
-        reply.msg = coherence::loadMessage(r);
-        replies_.push_back(reply);
-    }
-    loadCounter(r, stats_.reads);
-    loadCounter(r, stats_.writes);
-    loadCounter(r, stats_.busy_cycles);
-    loadAccumulator(r, stats_.queue_delay);
+    ar(busyUntil_, now_);
+    ar.seq(replies_, [&](Reply &reply) {
+        ar(reply.ready_at, reply.dst, reply.msg);
+    });
+    ar(stats_.reads, stats_.writes, stats_.busy_cycles, stats_.queue_delay);
 }
 
 } // namespace fsoi::memory

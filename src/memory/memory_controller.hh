@@ -22,10 +22,7 @@
 #include "common/stats.hh"
 #include "obs/stat_registry.hh"
 
-namespace fsoi::snapshot {
-class Writer;
-class Reader;
-} // namespace fsoi::snapshot
+namespace fsoi::snapshot { class Archive; }
 
 namespace fsoi::memory {
 
@@ -92,9 +89,8 @@ class MemoryController
         return next;
     }
 
-    /** Checkpoint/restore (snapshot/). */
-    void saveState(snapshot::Writer &w) const;
-    void loadState(snapshot::Reader &r);
+    /** Checkpoint/restore (snapshot/serialize.hh). */
+    void serialize(snapshot::Archive &ar);
 
   private:
     struct Reply

@@ -1,8 +1,7 @@
 #include "noc/ideal_network.hh"
 
 #include "common/logging.hh"
-#include "noc/packet_io.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::noc {
 
@@ -122,57 +121,29 @@ IdealNetwork::tick(Cycle now)
 }
 
 void
-IdealNetwork::saveState(snapshot::Writer &w) const
+IdealNetwork::serialize(snapshot::Sections &snap, const std::string &prefix)
 {
-    Network::saveState(w);
-    w.u64(lanes_.size());
-    for (const Lane &ln : lanes_) {
-        w.u64(ln.queue.size());
-        for (const Packet &pkt : ln.queue)
-            savePacket(w, pkt);
-        w.u64(ln.free_at);
+    snapshot::Archive ar = snap.open(prefix);
+    serializeBase(ar);
+    ar.fixed(lanes_, "ideal network endpoint count", [&](Lane &ln) {
+        ar.seq(ln.queue);
+        ar(ln.free_at);
+    });
+    // The heap goes in (due, seq) order, drained from a copy. The
+    // rebuilt heap's internal array may differ, but pops follow the
+    // same total order (seq is unique), so behaviour after restore is
+    // identical.
+    std::vector<InFlight> order;
+    if (!ar.loading())
+        for (auto heap = inflight_; !heap.empty(); heap.pop())
+            order.push_back(heap.top());
+    ar.seq(order, [&](InFlight &f) { ar(f.due, f.seq, f.pkt); });
+    if (ar.loading()) {
+        inflight_ = {};
+        for (InFlight &f : order)
+            inflight_.push(std::move(f));
     }
-    // Drain a copy of the heap in (due, seq) order. The rebuilt heap's
-    // internal array may differ, but pops follow the same total order
-    // (seq is unique), so behaviour after restore is identical.
-    auto heap = inflight_;
-    w.u64(heap.size());
-    while (!heap.empty()) {
-        const InFlight &top = heap.top();
-        w.u64(top.due);
-        w.u64(top.seq);
-        savePacket(w, top.pkt);
-        heap.pop();
-    }
-    w.u64(seq_);
-    w.u64(queuedPackets_);
-}
-
-void
-IdealNetwork::loadState(snapshot::Reader &r)
-{
-    Network::loadState(r);
-    const std::uint64_t num_lanes = r.u64();
-    FSOI_ASSERT(num_lanes == lanes_.size(),
-                "ideal network endpoint count mismatch on restore");
-    for (Lane &ln : lanes_) {
-        ln.queue.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            ln.queue.push_back(loadPacket(r));
-        ln.free_at = r.u64();
-    }
-    inflight_ = {};
-    const std::uint64_t num_inflight = r.u64();
-    for (std::uint64_t i = 0; i < num_inflight; ++i) {
-        InFlight f;
-        f.due = r.u64();
-        f.seq = r.u64();
-        f.pkt = loadPacket(r);
-        inflight_.push(std::move(f));
-    }
-    seq_ = r.u64();
-    queuedPackets_ = r.u64();
+    ar(seq_, queuedPackets_);
 }
 
 bool

@@ -57,8 +57,8 @@ class IdealNetwork : public Network
                                                         : now + 1;
     }
 
-    void saveState(snapshot::Writer &w) const override;
-    void loadState(snapshot::Reader &r) override;
+    void serialize(snapshot::Sections &snap,
+                   const std::string &prefix) override;
 
   private:
     struct Lane

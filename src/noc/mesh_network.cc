@@ -7,8 +7,7 @@
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "fault/fault_model.hh"
-#include "noc/packet_io.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 #include <cstdio>
 
@@ -35,6 +34,12 @@ struct MeshNetwork::Flit
     std::uint8_t head = 0;
     std::uint8_t tail = 0;
     Cycle ready_at = 0; //!< switch-allocation eligibility at this router
+
+    void
+    serialize(snapshot::Archive &ar)
+    {
+        ar(pkt, head, tail, ready_at);
+    }
 };
 
 /** A single mesh router with VC input buffers and credit flow control. */
@@ -61,25 +66,24 @@ struct MeshNetwork::Router
         const Flit &front() const
         { return ring[static_cast<std::size_t>(head)]; }
 
-        const Flit &
-        back() const
+        /** Ring index of the @p i-th buffered flit from the head. */
+        std::size_t
+        slot(int i) const
         {
-            int idx = head + count - 1;
+            int idx = head + i;
             const int cap = static_cast<int>(ring.size());
             if (idx >= cap)
                 idx -= cap;
-            return ring[static_cast<std::size_t>(idx)];
+            return static_cast<std::size_t>(idx);
         }
+
+        const Flit &back() const { return ring[slot(count - 1)]; }
 
         void
         push(const Flit &flit)
         {
-            const int cap = static_cast<int>(ring.size());
-            FSOI_ASSERT(count < cap);
-            int idx = head + count;
-            if (idx >= cap)
-                idx -= cap;
-            ring[static_cast<std::size_t>(idx)] = flit;
+            FSOI_ASSERT(count < static_cast<int>(ring.size()));
+            ring[slot(count)] = flit;
             ++count;
         }
 
@@ -981,217 +985,62 @@ MeshNetwork::writeLinkStateJson(std::ostream &os) const
 }
 
 void
-MeshNetwork::saveFlit(snapshot::Writer &w, const Flit &flit)
+MeshNetwork::serialize(snapshot::Sections &snap, const std::string &prefix)
 {
-    w.u32(flit.pkt);
-    w.u8(flit.head);
-    w.u8(flit.tail);
-    w.u64(flit.ready_at);
-}
+    snapshot::Archive ar = snap.open(prefix);
+    serializeBase(ar);
+    ar(activity_.buffer_writes, activity_.buffer_reads,
+       activity_.crossbar_traversals, activity_.link_traversals,
+       activity_.arbitrations);
+    ar.fixed(linkFlits_, "mesh geometry");
+    ar(pkts_);
 
-MeshNetwork::Flit
-MeshNetwork::loadFlit(snapshot::Reader &r)
-{
-    Flit flit;
-    flit.pkt = r.u32();
-    flit.head = r.u8();
-    flit.tail = r.u8();
-    flit.ready_at = r.u64();
-    return flit;
-}
+    ar.fixed(injectors_, "mesh endpoint count", [&](Injector &inj) {
+        for (InjectLane &lane : inj.lanes)
+            ar.seq(lane.queue);
+        for (int c = 0; c < 2; ++c)
+            ar(inj.active[c], inj.remaining[c], inj.vc[c]);
+        ar(inj.rr_class);
+    });
+    ar.seq(pending_, [&](PendingDelivery &pd) { ar(pd.due, pd.pkt); });
+    ar.seq(retxQueue_, [&](RetxEvent &ev) { ar(ev.due, ev.pkt); });
+    ar(packetsInFlight_, pendingCredits_, idleTicks_);
 
-void
-MeshNetwork::saveSnapshot(snapshot::SnapshotWriter &snap,
-                          const std::string &prefix) const
-{
-    using namespace snapshot;
-    Writer &w = snap.section(prefix);
-    Network::saveState(w);
-    saveCounter(w, activity_.buffer_writes);
-    saveCounter(w, activity_.buffer_reads);
-    saveCounter(w, activity_.crossbar_traversals);
-    saveCounter(w, activity_.link_traversals);
-    saveCounter(w, activity_.arbitrations);
-    w.u64(linkFlits_.size());
-    for (const auto &dirs : linkFlits_)
-        for (const auto &c : dirs)
-            saveCounter(w, c);
-
-    // In-flight packet pool: slots AND free list verbatim, so handle
-    // recycling after a restore matches the uninterrupted run.
-    w.u64(pkts_.rawSlots().size());
-    for (const Packet &pkt : pkts_.rawSlots())
-        savePacket(w, pkt);
-    w.u64(pkts_.rawFreeList().size());
-    for (const PacketHandle h : pkts_.rawFreeList())
-        w.u32(h);
-
-    w.u64(injectors_.size());
-    for (const Injector &inj : injectors_) {
-        for (const InjectLane &lane : inj.lanes) {
-            w.u64(lane.queue.size());
-            for (const Packet &pkt : lane.queue)
-                savePacket(w, pkt);
-        }
-        for (int c = 0; c < 2; ++c) {
-            w.u32(inj.active[c]);
-            w.i32(inj.remaining[c]);
-            w.i32(inj.vc[c]);
-        }
-        w.i32(inj.rr_class);
-    }
-
-    w.u64(pending_.size());
-    for (const PendingDelivery &pd : pending_) {
-        w.u64(pd.due);
-        w.u32(pd.pkt);
-    }
-    w.u64(retxQueue_.size());
-    for (const RetxEvent &ev : retxQueue_) {
-        w.u64(ev.due);
-        savePacket(w, ev.pkt);
-    }
-    w.u64(packetsInFlight_);
-    w.u64(pendingCredits_);
-    w.u64(idleTicks_);
-
-    for (const Router &router : routers_) {
-        Writer &rw = snap.section(prefix + ".router["
-                                  + std::to_string(router.id) + "]");
-        rw.i32(router.scan_phase);
-        rw.i32(router.buffered_flits);
-        for (const auto &iport : router.in) {
-            rw.i32(iport.rr);
-            rw.i32(iport.buffered);
-            for (const auto &vc : iport.vcs) {
+    for (Router &router : routers_) {
+        snapshot::Archive rw = snap.open(
+            prefix + ".router[" + std::to_string(router.id) + "]");
+        rw(router.scan_phase, router.buffered_flits);
+        for (auto &iport : router.in) {
+            rw(iport.rr, iport.buffered);
+            for (auto &vc : iport.vcs) {
                 // The ring is a FIFO: only the live flits in logical
                 // order are state; the head index is canonicalized to
                 // zero so snapshot bytes don't depend on ring phase.
-                rw.i32(vc.count);
-                for (int i = 0; i < vc.count; ++i) {
-                    int idx = vc.head + i;
-                    const int cap = static_cast<int>(vc.ring.size());
-                    if (idx >= cap)
-                        idx -= cap;
-                    saveFlit(rw, vc.ring[static_cast<std::size_t>(idx)]);
-                }
-                rw.i32(vc.out_port);
-                rw.i32(vc.out_vc);
-            }
-        }
-        for (const auto &oport : router.out) {
-            for (const int credit : oport.credits)
-                rw.i32(credit);
-            for (const char busy : oport.vc_busy)
-                rw.u8(static_cast<std::uint8_t>(busy));
-            rw.i32(oport.rr_in);
-            rw.i32(oport.rr_vc);
-        }
-        rw.u64(router.credit_queue.size());
-        for (const auto &ev : router.credit_queue) {
-            rw.i32(ev.port);
-            rw.i32(ev.vc);
-        }
-    }
-}
-
-void
-MeshNetwork::loadSnapshot(const snapshot::SnapshotReader &snap,
-                          const std::string &prefix)
-{
-    using namespace snapshot;
-    Reader r = snap.open(prefix);
-    Network::loadState(r);
-    loadCounter(r, activity_.buffer_writes);
-    loadCounter(r, activity_.buffer_reads);
-    loadCounter(r, activity_.crossbar_traversals);
-    loadCounter(r, activity_.link_traversals);
-    loadCounter(r, activity_.arbitrations);
-    const std::uint64_t num_links = r.u64();
-    FSOI_ASSERT(num_links == linkFlits_.size(),
-                "mesh geometry mismatch on restore");
-    for (auto &dirs : linkFlits_)
-        for (auto &c : dirs)
-            loadCounter(r, c);
-
-    std::vector<Packet> slots(r.u64());
-    for (auto &pkt : slots)
-        pkt = loadPacket(r);
-    std::vector<PacketHandle> free_list(r.u64());
-    for (auto &h : free_list)
-        h = r.u32();
-    pkts_.rawRestore(std::move(slots), std::move(free_list));
-
-    const std::uint64_t num_inj = r.u64();
-    FSOI_ASSERT(num_inj == injectors_.size(),
-                "mesh endpoint count mismatch on restore");
-    for (Injector &inj : injectors_) {
-        for (InjectLane &lane : inj.lanes) {
-            lane.queue.clear();
-            const std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i)
-                lane.queue.push_back(loadPacket(r));
-        }
-        for (int c = 0; c < 2; ++c) {
-            inj.active[c] = r.u32();
-            inj.remaining[c] = r.i32();
-            inj.vc[c] = r.i32();
-        }
-        inj.rr_class = r.i32();
-    }
-
-    pending_.resize(r.u64());
-    for (PendingDelivery &pd : pending_) {
-        pd.due = r.u64();
-        pd.pkt = r.u32();
-    }
-    retxQueue_.clear();
-    const std::uint64_t num_retx = r.u64();
-    for (std::uint64_t i = 0; i < num_retx; ++i) {
-        RetxEvent ev;
-        ev.due = r.u64();
-        ev.pkt = loadPacket(r);
-        retxQueue_.push_back(std::move(ev));
-    }
-    packetsInFlight_ = r.u64();
-    pendingCredits_ = r.u64();
-    idleTicks_ = r.u64();
-
-    for (Router &router : routers_) {
-        Reader rr = snap.open(prefix + ".router["
-                              + std::to_string(router.id) + "]");
-        router.scan_phase = rr.i32();
-        router.buffered_flits = rr.i32();
-        for (auto &iport : router.in) {
-            iport.rr = rr.i32();
-            iport.buffered = rr.i32();
-            for (auto &vc : iport.vcs) {
-                vc.head = 0;
-                vc.count = rr.i32();
-                FSOI_ASSERT(vc.count
-                            <= static_cast<int>(vc.ring.size()),
+                rw(vc.count);
+                FSOI_ASSERT(vc.count <= static_cast<int>(vc.ring.size()),
                             "VC depth mismatch on restore");
+                if (rw.loading())
+                    vc.head = 0;
                 for (int i = 0; i < vc.count; ++i)
-                    vc.ring[static_cast<std::size_t>(i)] = loadFlit(rr);
-                vc.out_port = rr.i32();
-                vc.out_vc = rr.i32();
+                    rw(vc.ring[vc.slot(i)]);
+                rw(vc.out_port, vc.out_vc);
             }
         }
         for (auto &oport : router.out) {
+            // Per-VC arrays sized by num_vcs: no count prefix.
             for (int &credit : oport.credits)
-                credit = rr.i32();
+                rw(credit);
             for (char &busy : oport.vc_busy)
-                busy = static_cast<char>(rr.u8());
-            oport.rr_in = rr.i32();
-            oport.rr_vc = rr.i32();
+                rw(busy);
+            rw(oport.rr_in, oport.rr_vc);
         }
-        router.credit_queue.resize(rr.u64());
-        for (auto &ev : router.credit_queue) {
-            ev.port = rr.i32();
-            ev.vc = rr.i32();
-        }
+        rw.seq(router.credit_queue, [&](Router::CreditEvent &ev) {
+            rw(ev.port, ev.vc);
+        });
     }
 
+    if (!ar.loading())
+        return;
     // Rebuild the memoized scan accelerators (never serialized) from
     // the restored state: per-port ready_min and the active-injector
     // bitmap.

@@ -118,10 +118,8 @@ class MeshNetwork : public Network
 
     /** Checkpoint/restore: one section for the shared mesh state plus
      *  one per router ("<prefix>.router[i]") for named diagnosis. */
-    void saveSnapshot(snapshot::SnapshotWriter &snap,
-                      const std::string &prefix) const override;
-    void loadSnapshot(const snapshot::SnapshotReader &snap,
-                      const std::string &prefix) override;
+    void serialize(snapshot::Sections &snap,
+                   const std::string &prefix) override;
 
     /**
      * True when a live route exists from @p src to @p dst. Always true
@@ -196,9 +194,6 @@ class MeshNetwork : public Network
 
     /** BFS per-destination next-hop tables avoiding dead links. */
     void buildRouteTable();
-
-    static void saveFlit(snapshot::Writer &w, const Flit &flit);
-    static Flit loadFlit(snapshot::Reader &r);
 
     MeshLayout layout_;
     MeshConfig config_;

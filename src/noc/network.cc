@@ -1,7 +1,7 @@
 #include "noc/network.hh"
 
 #include "common/logging.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::noc {
 
@@ -104,100 +104,23 @@ NetworkStats::reset()
 }
 
 void
-NetworkStats::saveState(snapshot::Writer &w) const
+NetworkStats::serialize(snapshot::Archive &ar)
 {
-    using namespace snapshot;
-    for (const auto &c : deliveredCount_)
-        saveCounter(w, c);
-    for (const auto &c : collisions_)
-        saveCounter(w, c);
-    for (const auto &c : attempts_)
-        saveCounter(w, c);
-    for (const auto &c : collisionsByKind_)
-        saveCounter(w, c);
-    saveAccumulator(w, total_);
-    saveAccumulator(w, queuing_);
-    saveAccumulator(w, scheduling_);
-    saveAccumulator(w, network_);
-    saveAccumulator(w, collision_);
-    saveAccumulator(w, perClass_[0]);
-    saveAccumulator(w, perClass_[1]);
-    saveHistogram(w, latencyHistAll_);
-    saveHistogram(w, latencyHist_[0]);
-    saveHistogram(w, latencyHist_[1]);
+    ar(deliveredCount_, collisions_, attempts_, collisionsByKind_, total_,
+       queuing_, scheduling_, network_, collision_, perClass_,
+       latencyHistAll_, latencyHist_);
 }
 
 void
-NetworkStats::loadState(snapshot::Reader &r)
+RetxStats::serialize(snapshot::Archive &ar)
 {
-    using namespace snapshot;
-    for (auto &c : deliveredCount_)
-        loadCounter(r, c);
-    for (auto &c : collisions_)
-        loadCounter(r, c);
-    for (auto &c : attempts_)
-        loadCounter(r, c);
-    for (auto &c : collisionsByKind_)
-        loadCounter(r, c);
-    loadAccumulator(r, total_);
-    loadAccumulator(r, queuing_);
-    loadAccumulator(r, scheduling_);
-    loadAccumulator(r, network_);
-    loadAccumulator(r, collision_);
-    loadAccumulator(r, perClass_[0]);
-    loadAccumulator(r, perClass_[1]);
-    loadHistogram(r, latencyHistAll_);
-    loadHistogram(r, latencyHist_[0]);
-    loadHistogram(r, latencyHist_[1]);
+    ar(packets_, crcDrops_, deadChannelLosses_);
 }
 
 void
-RetxStats::saveState(snapshot::Writer &w) const
+Network::serializeBase(snapshot::Archive &ar)
 {
-    snapshot::saveCounter(w, packets_);
-    snapshot::saveCounter(w, crcDrops_);
-    snapshot::saveCounter(w, deadChannelLosses_);
-}
-
-void
-RetxStats::loadState(snapshot::Reader &r)
-{
-    snapshot::loadCounter(r, packets_);
-    snapshot::loadCounter(r, crcDrops_);
-    snapshot::loadCounter(r, deadChannelLosses_);
-}
-
-void
-Network::saveState(snapshot::Writer &w) const
-{
-    w.u64(now_);
-    w.u64(nextId_);
-    stats_.saveState(w);
-    retx_.saveState(w);
-}
-
-void
-Network::loadState(snapshot::Reader &r)
-{
-    now_ = r.u64();
-    nextId_ = r.u64();
-    stats_.loadState(r);
-    retx_.loadState(r);
-}
-
-void
-Network::saveSnapshot(snapshot::SnapshotWriter &snap,
-                      const std::string &prefix) const
-{
-    saveState(snap.section(prefix));
-}
-
-void
-Network::loadSnapshot(const snapshot::SnapshotReader &snap,
-                      const std::string &prefix)
-{
-    snapshot::Reader r = snap.open(prefix);
-    loadState(r);
+    ar(now_, nextId_, stats_, retx_);
 }
 
 Network::Network(int num_endpoints)

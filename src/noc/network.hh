@@ -21,10 +21,8 @@
 #include "obs/stat_registry.hh"
 
 namespace fsoi::snapshot {
-class Writer;
-class Reader;
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
+class Sections;
 } // namespace fsoi::snapshot
 
 namespace fsoi::noc {
@@ -92,9 +90,8 @@ class NetworkStats
 
     void reset();
 
-    // --- checkpoint/restore (snapshot/)
-    void saveState(snapshot::Writer &w) const;
-    void loadState(snapshot::Reader &r);
+    /** Checkpoint/restore (snapshot/serialize.hh). */
+    void serialize(snapshot::Archive &ar);
 
   private:
     static int index(PacketClass cls) { return static_cast<int>(cls); }
@@ -152,9 +149,8 @@ class RetxStats
         scope.counter("dead_losses", deadChannelLosses_);
     }
 
-    // --- checkpoint/restore (snapshot/)
-    void saveState(snapshot::Writer &w) const;
-    void loadState(snapshot::Reader &r);
+    /** Checkpoint/restore (snapshot/serialize.hh). */
+    void serialize(snapshot::Archive &ar);
 
   private:
     Counter packets_;
@@ -227,27 +223,21 @@ class Network
     }
 
     /**
-     * Checkpoint/restore (snapshot/). Implementations append their own
-     * fields after calling the base, which covers the clock, the packet
-     * id allocator, and the shared statistics. Handlers are wiring, not
-     * state: the restoring System re-installs them at construction.
-     */
-    virtual void saveState(snapshot::Writer &w) const;
-    virtual void loadState(snapshot::Reader &r);
-
-    /**
-     * Section-granular checkpoint entry points. The default writes one
-     * section named @p prefix via saveState/loadState; MeshNetwork
-     * overrides them to emit one section per router so corruption is
+     * Checkpoint/restore (snapshot/serialize.hh): the network's state
+     * as section @p prefix. Implementations open it, describe the base
+     * fields through serializeBase(), then append their own;
+     * MeshNetwork adds one section per router so corruption is
      * diagnosed as "snapshot.corrupt: mesh.router[12]" instead of one
-     * opaque blob.
+     * opaque blob. Handlers are wiring, not state: the restoring
+     * System re-installs them at construction.
      */
-    virtual void saveSnapshot(snapshot::SnapshotWriter &snap,
-                              const std::string &prefix) const;
-    virtual void loadSnapshot(const snapshot::SnapshotReader &snap,
-                              const std::string &prefix);
+    virtual void serialize(snapshot::Sections &snap,
+                           const std::string &prefix) = 0;
 
   protected:
+    /** The clock, the packet id allocator and the shared statistics. */
+    void serializeBase(snapshot::Archive &ar);
+
     /** Timestamp + id bookkeeping every implementation shares. */
     void stampOnSend(Packet &pkt);
 

@@ -79,6 +79,21 @@ struct Packet
     Cycle sched_delay = 0;        //!< intentional (request-spacing) delay
     int retries = 0;              //!< collided transmissions before success
 
+    /**
+     * Checkpoint hook (snapshot/serialize.hh). Field by field, never a
+     * raw struct copy: padding bytes are indeterminate and would make
+     * the per-section snapshot hashes nondeterministic. The inline
+     * payload is written in full -- makePacket() zero-initializes the
+     * unused tail.
+     */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(id, src, dst, cls, kind, payload, created, first_tx, final_tx,
+           delivered, sched_delay, retries);
+    }
+
     /** Total latency from send() to delivery. */
     Cycle
     totalLatency() const

@@ -7,6 +7,8 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -16,30 +18,35 @@ namespace fsoi::sim {
 namespace {
 
 /**
- * The slice of a RunResult that the campaign journals and reports.
- * Doubles travel as their IEEE-754 bit patterns so a record read back
- * from the journal reproduces the original value exactly — that is
- * what makes a resumed campaign's consolidated JSON byte-identical to
- * an uninterrupted one's.
+ * The RunResult fields a campaign journals and reports, as (name,
+ * member) pairs in report order -- the one list both the journal codec
+ * and writeJson() walk. The diagnosis is last: it is the only string,
+ * and a done record truncated by a crash then always fails to parse
+ * (see Journal::load). @p R is RunResult, const or not.
  */
-struct PointRecord
+template <class R, class Fn>
+void
+forEachField(R &r, Fn &&fn)
 {
-    bool completed = false;
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t packets_delivered = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t sync_packets = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t fault_bit_errors = 0;
-    std::uint64_t blacklisted_channels = 0;
-    std::uint64_t unroutable_drops = 0;
-    std::uint64_t ipc_bits = 0;
-    std::uint64_t latency_bits = 0;
-    std::uint64_t miss_bits = 0;
-    std::uint64_t power_bits = 0;
-    std::string fault_diagnosis;
-};
+    fn("completed", r.completed);
+    fn("cycles", r.cycles);
+    fn("instructions", r.instructions);
+    fn("ipc", r.ipc);
+    fn("avg_packet_latency", r.avg_packet_latency);
+    fn("l1_miss_rate", r.l1_miss_rate);
+    fn("packets_delivered", r.packets_delivered);
+    fn("invalidations", r.invalidations);
+    fn("sync_packets", r.sync_packets);
+    fn("retransmissions", r.retransmissions);
+    fn("fault_bit_errors", r.fault_bit_errors);
+    fn("blacklisted_channels", r.blacklisted_channels);
+    fn("unroutable_drops", r.unroutable_drops);
+    fn("avg_power_w", r.avg_power_w);
+    fn("fault_diagnosis", r.fault_diagnosis);
+}
+
+template <class T, class U>
+constexpr bool kIs = std::is_same_v<std::remove_cvref_t<T>, U>;
 
 std::uint64_t
 doubleBits(double v)
@@ -55,50 +62,6 @@ bitsDouble(std::uint64_t bits)
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
-}
-
-PointRecord
-toRecord(const RunResult &r)
-{
-    PointRecord rec;
-    rec.completed = r.completed;
-    rec.cycles = r.cycles;
-    rec.instructions = r.instructions;
-    rec.packets_delivered = r.packets_delivered;
-    rec.invalidations = r.invalidations;
-    rec.sync_packets = r.sync_packets;
-    rec.retransmissions = r.retransmissions;
-    rec.fault_bit_errors = r.fault_bit_errors;
-    rec.blacklisted_channels = r.blacklisted_channels;
-    rec.unroutable_drops = r.unroutable_drops;
-    rec.ipc_bits = doubleBits(r.ipc);
-    rec.latency_bits = doubleBits(r.avg_packet_latency);
-    rec.miss_bits = doubleBits(r.l1_miss_rate);
-    rec.power_bits = doubleBits(r.avg_power_w);
-    rec.fault_diagnosis = r.fault_diagnosis;
-    return rec;
-}
-
-RunResult
-fromRecord(const PointRecord &rec)
-{
-    RunResult r;
-    r.completed = rec.completed;
-    r.cycles = rec.cycles;
-    r.instructions = rec.instructions;
-    r.packets_delivered = rec.packets_delivered;
-    r.invalidations = rec.invalidations;
-    r.sync_packets = rec.sync_packets;
-    r.retransmissions = rec.retransmissions;
-    r.fault_bit_errors = rec.fault_bit_errors;
-    r.blacklisted_channels = rec.blacklisted_channels;
-    r.unroutable_drops = rec.unroutable_drops;
-    r.ipc = bitsDouble(rec.ipc_bits);
-    r.avg_packet_latency = bitsDouble(rec.latency_bits);
-    r.l1_miss_rate = bitsDouble(rec.miss_bits);
-    r.avg_power_w = bitsDouble(rec.power_bits);
-    r.fault_diagnosis = rec.fault_diagnosis;
-    return r;
 }
 
 std::string
@@ -173,7 +136,7 @@ struct CampaignRunner::Journal
     {
         int attempts = 0;
         bool done = false;
-        PointRecord record;
+        RunResult result;
     };
 
     std::FILE *fp = nullptr;
@@ -203,31 +166,26 @@ struct CampaignRunner::Journal
                     ps.attempts = std::max(static_cast<int>(attempt),
                                            ps.attempts);
             } else if (event == "done") {
-                PointRecord rec;
-                std::uint64_t completed = 0;
                 // A done record is only trusted when it parses whole;
                 // the string field is last, so a truncated line fails
                 // one of these lookups and the point reruns instead.
-                if (findU64(line, "completed", completed) &&
-                    findU64(line, "cycles", rec.cycles) &&
-                    findU64(line, "instructions", rec.instructions) &&
-                    findU64(line, "packets", rec.packets_delivered) &&
-                    findU64(line, "invalidations", rec.invalidations) &&
-                    findU64(line, "sync_packets", rec.sync_packets) &&
-                    findU64(line, "retransmissions",
-                            rec.retransmissions) &&
-                    findU64(line, "bit_errors", rec.fault_bit_errors) &&
-                    findU64(line, "blacklisted",
-                            rec.blacklisted_channels) &&
-                    findU64(line, "unroutable", rec.unroutable_drops) &&
-                    findU64(line, "ipc_bits", rec.ipc_bits) &&
-                    findU64(line, "latency_bits", rec.latency_bits) &&
-                    findU64(line, "miss_bits", rec.miss_bits) &&
-                    findU64(line, "power_bits", rec.power_bits) &&
-                    findRaw(line, "diagnosis", rec.fault_diagnosis)) {
-                    rec.completed = completed != 0;
+                RunResult r;
+                bool whole = true;
+                forEachField(r, [&](const char *name, auto &v) {
+                    using T = std::remove_reference_t<decltype(v)>;
+                    std::uint64_t raw = 0;
+                    if constexpr (kIs<T, std::string>)
+                        whole = whole && findRaw(line, name, v);
+                    else if ((whole = whole && findU64(line, name, raw))) {
+                        if constexpr (kIs<T, double>)
+                            v = bitsDouble(raw);
+                        else
+                            v = static_cast<T>(raw);
+                    }
+                });
+                if (whole) {
                     ps.done = true;
-                    ps.record = std::move(rec);
+                    ps.result = std::move(r);
                 }
             }
         }
@@ -241,34 +199,24 @@ struct CampaignRunner::Journal
         std::fflush(fp);
     }
 
-    void appendDone(const std::string &point, const PointRecord &rec)
+    /** Doubles travel as their IEEE-754 bit patterns, so a record
+     *  read back reproduces the value exactly -- what makes a resumed
+     *  campaign's report byte-identical to an uninterrupted one's. */
+    void appendDone(const std::string &point, const RunResult &r)
     {
+        std::string rec = "{\"event\":\"done\",\"point\":\"" + point + "\"";
+        forEachField(r, [&](const char *name, const auto &v) {
+            rec += std::string(",\"") + name + "\":";
+            if constexpr (kIs<decltype(v), std::string>)
+                rec += "\"" + jsonEscape(v) + "\"";
+            else if constexpr (kIs<decltype(v), double>)
+                rec += std::to_string(doubleBits(v));
+            else
+                rec += std::to_string(v);
+        });
+        rec += "}\n";
         std::lock_guard<std::mutex> lock(mu);
-        std::fprintf(
-            fp,
-            "{\"event\":\"done\",\"point\":\"%s\",\"completed\":%d,"
-            "\"cycles\":%llu,\"instructions\":%llu,\"packets\":%llu,"
-            "\"invalidations\":%llu,\"sync_packets\":%llu,"
-            "\"retransmissions\":%llu,\"bit_errors\":%llu,"
-            "\"blacklisted\":%llu,\"unroutable\":%llu,"
-            "\"ipc_bits\":%llu,\"latency_bits\":%llu,"
-            "\"miss_bits\":%llu,\"power_bits\":%llu,"
-            "\"diagnosis\":\"%s\"}\n",
-            point.c_str(), rec.completed ? 1 : 0,
-            static_cast<unsigned long long>(rec.cycles),
-            static_cast<unsigned long long>(rec.instructions),
-            static_cast<unsigned long long>(rec.packets_delivered),
-            static_cast<unsigned long long>(rec.invalidations),
-            static_cast<unsigned long long>(rec.sync_packets),
-            static_cast<unsigned long long>(rec.retransmissions),
-            static_cast<unsigned long long>(rec.fault_bit_errors),
-            static_cast<unsigned long long>(rec.blacklisted_channels),
-            static_cast<unsigned long long>(rec.unroutable_drops),
-            static_cast<unsigned long long>(rec.ipc_bits),
-            static_cast<unsigned long long>(rec.latency_bits),
-            static_cast<unsigned long long>(rec.miss_bits),
-            static_cast<unsigned long long>(rec.power_bits),
-            jsonEscape(rec.fault_diagnosis).c_str());
+        std::fputs(rec.c_str(), fp);
         std::fflush(fp);
     }
 };
@@ -363,7 +311,7 @@ CampaignRunner::runPoint(const CampaignPoint &point, int attempt)
     out.attempts = attempt;
     out.result = sys.run();
 
-    journal_->appendDone(point.name, toRecord(out.result));
+    journal_->appendDone(point.name, out.result);
     std::error_code ec;
     std::filesystem::remove(ckpt, ec); // done; the journal is the record
     return out;
@@ -397,7 +345,7 @@ CampaignRunner::run(std::vector<CampaignPoint> points)
         if (it != journal_->state.end() && it->second.done) {
             plan.ready.name = p.name;
             plan.ready.attempts = std::max(attempts, 1);
-            plan.ready.result = fromRecord(it->second.record);
+            plan.ready.result = it->second.result;
         } else if (attempts >= config_.max_attempts) {
             warn("campaign: quarantining point '%s' after %d failed "
                  "attempts", p.name.c_str(), attempts);
@@ -440,28 +388,23 @@ CampaignRunner::writeJson(std::ostream &os,
     os << "{\n  \"points\": [\n";
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const CampaignOutcome &o = outcomes[i];
-        const RunResult &r = o.result;
         // No attempt counts here: they are resume metadata (kept in
         // the journal), and printing them would break the byte-for-
         // byte equality of resumed vs uninterrupted reports.
         os << "    {\"name\": \"" << jsonEscape(o.name) << "\""
-           << ", \"quarantined\": " << (o.quarantined ? "true" : "false")
-           << ", \"completed\": " << (r.completed ? "true" : "false")
-           << ", \"cycles\": " << r.cycles
-           << ", \"instructions\": " << r.instructions
-           << ", \"ipc\": " << dbl(r.ipc)
-           << ", \"avg_packet_latency\": " << dbl(r.avg_packet_latency)
-           << ", \"l1_miss_rate\": " << dbl(r.l1_miss_rate)
-           << ", \"packets_delivered\": " << r.packets_delivered
-           << ", \"invalidations\": " << r.invalidations
-           << ", \"sync_packets\": " << r.sync_packets
-           << ", \"retransmissions\": " << r.retransmissions
-           << ", \"fault_bit_errors\": " << r.fault_bit_errors
-           << ", \"blacklisted_channels\": " << r.blacklisted_channels
-           << ", \"unroutable_drops\": " << r.unroutable_drops
-           << ", \"avg_power_w\": " << dbl(r.avg_power_w)
-           << ", \"fault_diagnosis\": \"" << jsonEscape(r.fault_diagnosis)
-           << "\"}" << (i + 1 < outcomes.size() ? "," : "") << "\n";
+           << ", \"quarantined\": " << (o.quarantined ? "true" : "false");
+        forEachField(o.result, [&](const char *name, const auto &v) {
+            os << ", \"" << name << "\": ";
+            if constexpr (kIs<decltype(v), std::string>)
+                os << "\"" << jsonEscape(v) << "\"";
+            else if constexpr (kIs<decltype(v), double>)
+                os << dbl(v);
+            else if constexpr (kIs<decltype(v), bool>)
+                os << (v ? "true" : "false");
+            else
+                os << v;
+        });
+        os << "}" << (i + 1 < outcomes.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
 }

@@ -43,10 +43,7 @@
 #include "sim/energy_model.hh"
 #include "workload/apps.hh"
 
-namespace fsoi::snapshot {
-class SnapshotWriter;
-class SnapshotReader;
-} // namespace fsoi::snapshot
+namespace fsoi::snapshot { class Sections; }
 
 namespace fsoi::sim {
 
@@ -235,34 +232,31 @@ class System
     // --- checkpoint/restore (snapshot/) ---
 
     /**
-     * Serialize the full simulation state into @p snap: functional
-     * memory, interconnect, fault-injector runtime state, every core /
-     * L1 / directory / memory controller (including statistics), and
-     * the in-flight local-hop messages — one hash-guarded section per
+     * The full simulation state as snapshot sections, written or read
+     * depending on @p snap: a config fingerprint, functional memory,
+     * interconnect, fault-injector runtime state, every core / L1 /
+     * directory / memory controller (including statistics), and the
+     * in-flight local-hop messages — one hash-guarded section per
      * component. Capture point is the top of a cycle (before the
      * network tick). The event calendar and wake bitmaps are never
      * serialized — wake cycles are pure functions of component state,
      * so restore re-seeds them (initScheduler) and the resumed run
      * stays bit-identical to the uninterrupted one.
+     *
+     * Reading requires a System built from the same configuration,
+     * with instruction streams bound (loadApp/bindStream), before
+     * run(); a mismatched snapshot throws snapshot::SnapshotError with
+     * a named diagnosis. run() then continues from the captured cycle
+     * and is bit-identical to the uninterrupted run. Host-side
+     * observability (flight recorder, profiler, watchdog baseline)
+     * restarts fresh; none of it feeds simulation state.
      */
-    void saveSnapshot(snapshot::SnapshotWriter &snap) const;
+    void serialize(snapshot::Sections &snap);
 
-    /** saveSnapshot() to a hash-verified file (atomic temp + rename). */
+    /** The state to a hash-verified file (atomic temp + rename). */
     void saveCheckpoint(const std::string &path) const;
 
-    /**
-     * Restore state captured by saveSnapshot(). Call on a System built
-     * from the same configuration, after instruction streams are bound
-     * (loadApp/bindStream) and before run(); throws
-     * snapshot::SnapshotError with a named diagnosis on a mismatched
-     * snapshot. run() then continues from the captured cycle and is
-     * bit-identical to the uninterrupted run.
-     * Host-side observability (flight recorder, profiler, watchdog
-     * baseline) restarts fresh; none of it feeds simulation state.
-     */
-    void restoreSnapshot(const snapshot::SnapshotReader &snap);
-
-    /** restoreSnapshot() from a checkpoint file. */
+    /** The state from a checkpoint file (see serialize()). */
     void restoreCheckpoint(const std::string &path);
 
     /**

@@ -1,9 +1,9 @@
 /**
  * @file
- * System-level checkpoint/restore: assembles the per-component
- * saveState/loadState implementations into a hash-verified snapshot
- * (snapshot/archive.hh) and rebuilds the scheduler runtime around the
- * restored state.
+ * System-level checkpoint/restore: one serialize() walks every
+ * component's own serialize() into a hash-verified snapshot
+ * (snapshot/serialize.hh), section by section, and a restore rebuilds
+ * the scheduler runtime around the loaded state.
  *
  * Capture point is the top of a cycle, before the network tick. The
  * wake bitmaps and the event calendar are memoization of per-component
@@ -22,9 +22,7 @@
 
 #include "sim/system.hh"
 
-#include "coherence/message_io.hh"
-#include "common/logging.hh"
-#include "snapshot/archive.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::sim {
 
@@ -39,75 +37,23 @@ System::netSectionPrefix() const
 }
 
 void
-System::saveSnapshot(snapshot::SnapshotWriter &snap) const
+System::serialize(snapshot::Sections &snap)
 {
-    // Config fingerprint: restore refuses a snapshot taken under a
+    // Config fingerprint: a restore refuses a snapshot taken under a
     // different machine shape.
-    snapshot::Writer &meta = snap.section("meta");
-    meta.u32(static_cast<std::uint32_t>(config_.num_cores));
-    meta.u32(static_cast<std::uint32_t>(config_.num_memctls));
-    meta.u8(static_cast<std::uint8_t>(config_.network));
-    meta.u64(config_.seed);
-    meta.boolean(config_.opt_confirmation_ack);
-    meta.boolean(config_.opt_sync_subscription);
-    meta.boolean(config_.opt_data_collision);
-    meta.boolean(fault_ != nullptr);
-    meta.u64(now_);
-
-    snapshot::Writer &mem = snap.section("memory");
-    const auto words = funcMem_.exportWords();
-    mem.u64(words.size());
-    for (const auto &[addr, value] : words) {
-        mem.u64(addr);
-        mem.u64(value);
-    }
-
-    network_->saveSnapshot(snap, netSectionPrefix());
-    if (fault_)
-        fault_->saveState(snap.section("fault"));
-
-    for (int n = 0; n < config_.num_cores; ++n) {
-        const std::string id = std::to_string(n);
-        cores_[n]->saveState(snap.section("core" + id));
-        l1s_[n]->saveState(snap.section("core" + id + ".l1"));
-        dirs_[n]->saveState(snap.section("dir" + id));
-    }
-    for (int m = 0; m < config_.num_memctls; ++m)
-        memctls_[m]->saveState(snap.section("mem" + std::to_string(m)));
-
-    snapshot::Writer &sched = snap.section("sched");
-    sched.u64(localQueue_.size());
-    for (const LocalMsg &m : localQueue_) {
-        sched.u64(m.due);
-        sched.u32(m.dst);
-        coherence::saveMessage(sched, m.msg);
-    }
-}
-
-void
-System::saveCheckpoint(const std::string &path) const
-{
-    snapshot::SnapshotWriter snap;
-    saveSnapshot(snap);
-    snap.writeFile(path);
-}
-
-void
-System::restoreSnapshot(const snapshot::SnapshotReader &snap)
-{
-    snapshot::Reader meta = snap.open("meta");
-    const auto cores = meta.u32();
-    const auto memctls = meta.u32();
-    const auto netkind = meta.u8();
-    const auto seed = meta.u64();
-    const bool conf_ack = meta.boolean();
-    const bool sync_sub = meta.boolean();
-    const bool data_coll = meta.boolean();
-    const bool faulted = meta.boolean();
+    snapshot::Archive meta = snap.open("meta");
+    auto cores = static_cast<std::uint32_t>(config_.num_cores);
+    auto memctls = static_cast<std::uint32_t>(config_.num_memctls);
+    NetKind net = config_.network;
+    std::uint64_t seed = config_.seed;
+    bool conf_ack = config_.opt_confirmation_ack;
+    bool sync_sub = config_.opt_sync_subscription;
+    bool data_coll = config_.opt_data_collision;
+    bool faulted = fault_ != nullptr;
+    meta(cores, memctls, net, seed, conf_ack, sync_sub, data_coll, faulted);
     if (cores != static_cast<std::uint32_t>(config_.num_cores)
         || memctls != static_cast<std::uint32_t>(config_.num_memctls)
-        || netkind != static_cast<std::uint8_t>(config_.network)
-        || seed != config_.seed
+        || net != config_.network || seed != config_.seed
         || conf_ack != config_.opt_confirmation_ack
         || sync_sub != config_.opt_sync_subscription
         || data_coll != config_.opt_data_collision
@@ -116,77 +62,57 @@ System::restoreSnapshot(const snapshot::SnapshotReader &snap)
             "snapshot.config_mismatch: snapshot is "
             + std::to_string(cores) + " cores / "
             + std::to_string(memctls) + " memctls / "
-            + netKindName(static_cast<NetKind>(netkind)) + " / seed "
-            + std::to_string(seed) + ", this system is "
-            + std::to_string(config_.num_cores) + " / "
-            + std::to_string(config_.num_memctls) + " / "
+            + netKindName(net) + " / seed " + std::to_string(seed)
+            + ", this system is " + std::to_string(config_.num_cores)
+            + " / " + std::to_string(config_.num_memctls) + " / "
             + netKindName(config_.network) + " / seed "
             + std::to_string(config_.seed));
     }
-    const Cycle at = meta.u64();
+    Cycle at = now_;
+    meta(at);
 
-    {
-        snapshot::Reader r = snap.open("memory");
-        std::vector<std::pair<Addr, std::uint64_t>> words;
-        const std::uint64_t n = r.u64();
-        words.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const Addr addr = r.u64();
-            words.emplace_back(addr, r.u64());
-        }
-        funcMem_.importWords(words);
-    }
-
-    network_->loadSnapshot(snap, netSectionPrefix());
-    if (fault_) {
-        snapshot::Reader r = snap.open("fault");
-        fault_->loadState(r);
-    }
+    snap.io("memory", funcMem_);
+    network_->serialize(snap, netSectionPrefix());
+    if (fault_)
+        snap.io("fault", *fault_);
 
     for (int n = 0; n < config_.num_cores; ++n) {
         const std::string id = std::to_string(n);
-        {
-            snapshot::Reader r = snap.open("core" + id);
-            cores_[n]->loadState(r);
-        }
-        {
-            snapshot::Reader r = snap.open("core" + id + ".l1");
-            l1s_[n]->loadState(r, cores_[n]->completionCallback());
-        }
-        {
-            snapshot::Reader r = snap.open("dir" + id);
-            dirs_[n]->loadState(r);
-        }
+        snap.io("core" + id, *cores_[n]);
+        snapshot::Archive l1 = snap.open("core" + id + ".l1");
+        l1s_[n]->serialize(l1, cores_[n]->completionCallback());
+        snap.io("dir" + id, *dirs_[n]);
     }
-    for (int m = 0; m < config_.num_memctls; ++m) {
-        snapshot::Reader r = snap.open("mem" + std::to_string(m));
-        memctls_[m]->loadState(r);
-    }
+    for (int m = 0; m < config_.num_memctls; ++m)
+        snap.io("mem" + std::to_string(m), *memctls_[m]);
 
-    localQueue_.clear();
-    {
-        snapshot::Reader r = snap.open("sched");
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            LocalMsg msg;
-            msg.due = r.u64();
-            msg.dst = static_cast<NodeId>(r.u32());
-            msg.msg = coherence::loadMessage(r);
-            localQueue_.push_back(std::move(msg));
-        }
-    }
+    snapshot::Archive sched = snap.open("sched");
+    sched.seq(localQueue_, [&](LocalMsg &m) { sched(m.due, m.dst, m.msg); });
 
-    now_ = at;
-    startCycle_ = at;
-    restoredRun_ = true;
+    if (sched.loading()) {
+        now_ = at;
+        startCycle_ = at;
+        restoredRun_ = true;
+    }
+}
+
+void
+System::saveCheckpoint(const std::string &path) const
+{
+    snapshot::SnapshotWriter out;
+    snapshot::Sections snap(out);
+    // Saving only reads: serialize() is shared with restore, hence not
+    // const, but never writes to the state it saves.
+    const_cast<System *>(this)->serialize(snap);
+    out.writeFile(path);
 }
 
 void
 System::restoreCheckpoint(const std::string &path)
 {
-    const snapshot::SnapshotReader snap =
-        snapshot::SnapshotReader::fromFile(path);
-    restoreSnapshot(snap);
+    const auto in = snapshot::SnapshotReader::fromFile(path);
+    snapshot::Sections snap(in);
+    serialize(snap);
 }
 
 void

@@ -20,9 +20,10 @@
  * state (and the hashes over it) is bit-exact.
  *
  * Everything here is header-only and depends on the standard library
- * alone: simulator components serialize through Writer/Reader, while
- * offline tools (stats_report --snapshot) can parse the container
- * without linking any simulator code.
+ * alone: simulator components serialize through Writer/Reader (via
+ * snapshot/serialize.hh's Archive), while offline tools
+ * (stats_report --snapshot) can parse the container without linking
+ * any simulator code.
  *
  * Compatibility policy: the format version is bumped on ANY layout
  * change, and restore refuses other versions outright. Snapshots are
@@ -47,6 +48,8 @@ namespace fsoi::snapshot {
 
 inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr char kMagic[8] = {'F', 'S', 'O', 'I', 'S', 'N', 'P', 0};
+/** Magic, version, section count and root hash. */
+inline constexpr std::size_t kHeaderBytes = 24;
 
 /** Any malformed / corrupt / mismatched snapshot throws this; the
  *  what() string is the named diagnosis (`snapshot.corrupt: ...`). */
@@ -315,7 +318,12 @@ class SnapshotReader
         std::size_t n;
         while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
             bytes.insert(bytes.end(), chunk, chunk + n);
+        // A read error (e.g. the path is a directory) is not a short
+        // file: report it as I/O, not as a malformed snapshot.
+        const bool failed = std::ferror(f) != 0;
         std::fclose(f);
+        if (failed)
+            throw SnapshotError("snapshot.io: cannot read " + path);
         return SnapshotReader(std::move(bytes));
     }
 
@@ -347,7 +355,11 @@ class SnapshotReader
     void
     parse()
     {
-        Reader hdr(bytes_.data(), bytes_.size(), "header");
+        // A file that ends early is truncation; the explicit size
+        // checks keep Reader's underrun for schema bugs only.
+        if (bytes_.size() < kHeaderBytes)
+            throw SnapshotError("snapshot.truncated: header");
+        Reader hdr(bytes_.data(), kHeaderBytes, "header");
         char magic[8];
         hdr.raw(magic, sizeof(magic));
         if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
@@ -360,12 +372,18 @@ class SnapshotReader
                 + std::to_string(kFormatVersion));
         const std::uint32_t count = hdr.u32();
         root_ = hdr.u64();
-        std::size_t pos = bytes_.size() - hdr.remaining();
+        std::size_t pos = kHeaderBytes;
         for (std::uint32_t i = 0; i < count; ++i) {
-            Reader sec(bytes_.data() + pos, bytes_.size() - pos,
+            // Entry: u16 name length, name, u64 size, u64 hash.
+            const std::size_t left = bytes_.size() - pos;
+            const std::size_t name_len =
+                left < 2 ? 0 : bytes_[pos] | (bytes_[pos + 1] << 8);
+            if (left < 2 + name_len + 16)
+                throw SnapshotError("snapshot.truncated: section table");
+            Reader sec(bytes_.data() + pos, 2 + name_len + 16,
                        "section table");
             SectionInfo info;
-            const std::uint16_t name_len = sec.u16();
+            sec.u16();
             info.name.resize(name_len);
             sec.raw(info.name.data(), name_len);
             info.size = sec.u64();

@@ -7,19 +7,12 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "snapshot/state_io.hh"
+#include "snapshot/serialize.hh"
 
 namespace fsoi::workload {
 
 void
-InstrStream::saveState(snapshot::Writer &)
-    const
-{
-    fatal("this instruction-stream kind is not checkpointable");
-}
-
-void
-InstrStream::loadState(snapshot::Reader &)
+InstrStream::serialize(snapshot::Archive &)
 {
     fatal("this instruction-stream kind is not checkpointable");
 }
@@ -27,26 +20,6 @@ InstrStream::loadState(snapshot::Reader &)
 namespace {
 
 constexpr int kLineBytes = 32;
-
-void
-saveInstr(snapshot::Writer &w, const Instr &instr)
-{
-    w.u8(static_cast<std::uint8_t>(instr.op));
-    w.u64(instr.addr);
-    w.u32(instr.cycles);
-    w.u64(instr.value);
-}
-
-Instr
-loadInstr(snapshot::Reader &r)
-{
-    Instr instr;
-    instr.op = static_cast<Op>(r.u8());
-    instr.addr = r.u64();
-    instr.cycles = r.u32();
-    instr.value = r.u64();
-    return instr;
-}
 
 /** Generator expanding an AppProfile into a deterministic stream. */
 class SyntheticStream : public InstrStream
@@ -94,50 +67,19 @@ class SyntheticStream : public InstrStream
      * restoring into a differently configured stream.
      */
     void
-    saveState(snapshot::Writer &w) const override
+    serialize(snapshot::Archive &ar) override
     {
-        w.u32(static_cast<std::uint32_t>(thread_));
-        w.u32(static_cast<std::uint32_t>(numThreads_));
-        w.u64(profile_.instructions);
-        snapshot::saveRng(w, rng_);
-        w.u64(privLine_);
-        saveBlockStream(w, readStream_);
-        saveBlockStream(w, writeStream_);
-        w.u64(issued_);
-        w.u64(opsDone_);
-        w.u64(nextBarrierAt_);
-        w.u64(nextLockAt_);
-        w.u64(barSeq_);
-        w.boolean(finished_);
-        w.u64(queue_.size());
-        for (const Instr &instr : queue_)
-            saveInstr(w, instr);
-    }
-
-    void
-    loadState(snapshot::Reader &r) override
-    {
-        const std::uint32_t thread = r.u32();
-        const std::uint32_t threads = r.u32();
-        const std::uint64_t budget = r.u64();
+        std::uint32_t thread = static_cast<std::uint32_t>(thread_);
+        std::uint32_t threads = static_cast<std::uint32_t>(numThreads_);
+        std::uint64_t budget = profile_.instructions;
+        ar(thread, threads, budget);
         FSOI_ASSERT(thread == static_cast<std::uint32_t>(thread_)
                         && threads == static_cast<std::uint32_t>(numThreads_)
                         && budget == profile_.instructions,
                     "snapshot stream does not match this workload config");
-        snapshot::loadRng(r, rng_);
-        privLine_ = r.u64();
-        loadBlockStream(r, readStream_);
-        loadBlockStream(r, writeStream_);
-        issued_ = r.u64();
-        opsDone_ = r.u64();
-        nextBarrierAt_ = r.u64();
-        nextLockAt_ = r.u64();
-        barSeq_ = r.u64();
-        finished_ = r.boolean();
-        queue_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            queue_.push_back(loadInstr(r));
+        ar(rng_, privLine_, readStream_, writeStream_, issued_, opsDone_,
+           nextBarrierAt_, nextLockAt_, barSeq_, finished_);
+        ar.seq(queue_);
     }
 
   private:
@@ -168,25 +110,14 @@ class SyntheticStream : public InstrStream
         bool valid = false;
         /** Recently visited blocks; revisits hit in the L2. */
         std::vector<std::uint64_t> pool;
+
+        void
+        serialize(snapshot::Archive &ar)
+        {
+            ar(block, walk, valid);
+            ar.seq(pool);
+        }
     };
-
-    static void
-    saveBlockStream(snapshot::Writer &w, const BlockStream &st)
-    {
-        w.u64(st.block);
-        w.u64(st.walk);
-        w.boolean(st.valid);
-        snapshot::saveU64Vec(w, st.pool);
-    }
-
-    static void
-    loadBlockStream(snapshot::Reader &r, BlockStream &st)
-    {
-        st.block = r.u64();
-        st.walk = r.u64();
-        st.valid = r.boolean();
-        st.pool = snapshot::loadU64Vec(r);
-    }
 
     /**
      * Deterministic part of the region the sharing pattern allows for

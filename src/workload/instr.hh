@@ -16,10 +16,7 @@
 
 #include "common/types.hh"
 
-namespace fsoi::snapshot {
-class Writer;
-class Reader;
-} // namespace fsoi::snapshot
+namespace fsoi::snapshot { class Archive; }
 
 namespace fsoi::workload {
 
@@ -42,6 +39,14 @@ struct Instr
     Addr addr = 0;
     std::uint32_t cycles = 0;  //!< Compute: duration
     std::uint64_t value = 0;   //!< Store: value; Barrier: thread count
+
+    /** Checkpoint hook (snapshot/serialize.hh). */
+    template <class Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(op, addr, cycles, value);
+    }
 };
 
 /** A per-thread instruction source. */
@@ -54,12 +59,11 @@ class InstrStream
     virtual Instr next() = 0;
 
     /**
-     * Checkpoint/restore (snapshot/). The defaults fatal(): a stream
-     * kind that carries generator state must override both, or runs
-     * using it cannot be checkpointed.
+     * Checkpoint/restore (snapshot/serialize.hh). The default fatal()s:
+     * a stream kind that carries generator state must override it, or
+     * runs using it cannot be checkpointed.
      */
-    virtual void saveState(snapshot::Writer &w) const;
-    virtual void loadState(snapshot::Reader &r);
+    virtual void serialize(snapshot::Archive &ar);
 };
 
 } // namespace fsoi::workload

@@ -21,6 +21,8 @@
 #include "sim/sweep_runner.hh"
 #include "workload/apps.hh"
 
+#include "run_result_eq.hh"
+
 namespace fsoi {
 namespace {
 
@@ -33,40 +35,6 @@ point(sim::NetKind kind, const char *app, std::uint64_t seed)
     job.app = workload::appByName(app);
     job.scale = 0.03;
     return job;
-}
-
-/** Every scalar field of the result, including the energy report. */
-void
-expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
-{
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-    EXPECT_EQ(a.queuing, b.queuing);
-    EXPECT_EQ(a.scheduling, b.scheduling);
-    EXPECT_EQ(a.network, b.network);
-    EXPECT_EQ(a.collision_resolution, b.collision_resolution);
-    EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-    EXPECT_EQ(a.meta_collision_rate, b.meta_collision_rate);
-    EXPECT_EQ(a.data_collision_rate, b.data_collision_rate);
-    EXPECT_EQ(a.meta_tx_probability, b.meta_tx_probability);
-    for (int c = 0; c < 5; ++c)
-        EXPECT_EQ(a.data_collisions_by_cat[c],
-                  b.data_collisions_by_cat[c]);
-    EXPECT_EQ(a.data_resolution_delay, b.data_resolution_delay);
-    EXPECT_EQ(a.l1_miss_rate, b.l1_miss_rate);
-    EXPECT_EQ(a.invalidations, b.invalidations);
-    EXPECT_EQ(a.sync_packets, b.sync_packets);
-    EXPECT_EQ(a.control_bits, b.control_bits);
-    EXPECT_EQ(a.avg_power_w, b.avg_power_w);
-    EXPECT_EQ(a.energy.total(), b.energy.total());
-    EXPECT_EQ(a.retransmissions, b.retransmissions);
-    EXPECT_EQ(a.fault_bit_errors, b.fault_bit_errors);
-    EXPECT_EQ(a.blacklisted_channels, b.blacklisted_channels);
-    EXPECT_EQ(a.unroutable_drops, b.unroutable_drops);
-    EXPECT_EQ(a.fault_diagnosis, b.fault_diagnosis);
 }
 
 std::vector<sim::SweepJob>
@@ -139,7 +107,7 @@ TEST(Determinism, RepeatedSerialRunsIdentical)
     const auto b = runMatrix(1);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdentical(a[i], b[i]);
+        testsupport::expectSameResult(a[i], b[i]);
 }
 
 TEST(Determinism, ParallelMatchesSerial)
@@ -149,7 +117,7 @@ TEST(Determinism, ParallelMatchesSerial)
         const auto parallel = runMatrix(jobs);
         ASSERT_EQ(serial.size(), parallel.size());
         for (std::size_t i = 0; i < serial.size(); ++i)
-            expectIdentical(serial[i], parallel[i]);
+            testsupport::expectSameResult(serial[i], parallel[i]);
     }
 }
 
@@ -168,7 +136,7 @@ TEST(Determinism, RestoredRunMatchesUninterrupted)
         sim::System sys(jobs[i].config);
         sys.loadApp(jobs[i].app.scaled(jobs[i].scale));
         sys.restoreCheckpoint(ckpt);
-        expectIdentical(serial[i], sys.run());
+        testsupport::expectSameResult(serial[i], sys.run());
         std::filesystem::remove(ckpt);
     }
 }
@@ -225,7 +193,7 @@ TEST(Determinism, KeepSystemMatchesPlainRun)
     const auto a = plain.get();
     const auto outcome = kept.get();
     ASSERT_NE(outcome.system, nullptr);
-    expectIdentical(a, outcome.result);
+    testsupport::expectSameResult(a, outcome.result);
 }
 
 TEST(Determinism, ResolveJobsNeverZero)

@@ -33,6 +33,7 @@
 #include "workload/apps.hh"
 
 #include "json_validator.hh"
+#include "run_result_eq.hh"
 
 namespace fsoi {
 namespace {
@@ -249,21 +250,6 @@ faultPoint(sim::NetKind kind, const char *app, std::uint64_t seed)
     return job;
 }
 
-void
-expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
-{
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-    EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-    EXPECT_EQ(a.retransmissions, b.retransmissions);
-    EXPECT_EQ(a.fault_bit_errors, b.fault_bit_errors);
-    EXPECT_EQ(a.blacklisted_channels, b.blacklisted_channels);
-    EXPECT_EQ(a.unroutable_drops, b.unroutable_drops);
-    EXPECT_EQ(a.fault_diagnosis, b.fault_diagnosis);
-}
-
 TEST(FaultSystem, HealthyConfigConstructsNoInjector)
 {
     sim::SystemConfig cfg = sim::SystemConfig::paperConfig(16,
@@ -302,7 +288,7 @@ TEST(FaultSystem, FaultedRunsBitIdenticalAcrossJobs)
         const auto parallel = runAll(n);
         ASSERT_EQ(serial.size(), parallel.size());
         for (std::size_t i = 0; i < serial.size(); ++i)
-            expectIdentical(serial[i], parallel[i]);
+            testsupport::expectSameResult(serial[i], parallel[i]);
     }
 }
 

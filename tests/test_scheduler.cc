@@ -22,6 +22,8 @@
 #include "sim/sweep_runner.hh"
 #include "workload/apps.hh"
 
+#include "run_result_eq.hh"
+
 namespace fsoi {
 namespace {
 
@@ -177,19 +179,6 @@ idlePoint(std::uint64_t seed)
     return job;
 }
 
-void
-expectSameRun(const sim::RunResult &a, const sim::RunResult &b)
-{
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-    EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-    EXPECT_EQ(a.l1_miss_rate, b.l1_miss_rate);
-    EXPECT_EQ(a.invalidations, b.invalidations);
-    EXPECT_EQ(a.energy.total(), b.energy.total());
-}
-
 TEST(Scheduler, SnapshotRoundTripWithPendingCalendar)
 {
     // The calendar is rebuilt from component state on restore, never
@@ -210,7 +199,7 @@ TEST(Scheduler, SnapshotRoundTripWithPendingCalendar)
     sim::System sys(job.config);
     sys.loadApp(job.app.scaled(job.scale));
     sys.restoreCheckpoint(path);
-    expectSameRun(full, sys.run());
+    testsupport::expectSameResult(full, sys.run());
     std::filesystem::remove(path);
 }
 

@@ -9,6 +9,7 @@
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,8 @@
 #include "sim/sweep_runner.hh"
 #include "snapshot/archive.hh"
 #include "workload/apps.hh"
+
+#include "run_result_eq.hh"
 
 namespace fsoi {
 namespace {
@@ -73,37 +76,6 @@ resumeFrom(const std::string &path, const sim::SweepJob &job)
     return sys.run();
 }
 
-/** Field-identical results (same checks as the determinism suite). */
-void
-expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
-{
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-    EXPECT_EQ(a.queuing, b.queuing);
-    EXPECT_EQ(a.scheduling, b.scheduling);
-    EXPECT_EQ(a.network, b.network);
-    EXPECT_EQ(a.collision_resolution, b.collision_resolution);
-    EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-    EXPECT_EQ(a.meta_collision_rate, b.meta_collision_rate);
-    EXPECT_EQ(a.data_collision_rate, b.data_collision_rate);
-    EXPECT_EQ(a.meta_tx_probability, b.meta_tx_probability);
-    EXPECT_EQ(a.data_resolution_delay, b.data_resolution_delay);
-    EXPECT_EQ(a.l1_miss_rate, b.l1_miss_rate);
-    EXPECT_EQ(a.invalidations, b.invalidations);
-    EXPECT_EQ(a.sync_packets, b.sync_packets);
-    EXPECT_EQ(a.control_bits, b.control_bits);
-    EXPECT_EQ(a.avg_power_w, b.avg_power_w);
-    EXPECT_EQ(a.energy.total(), b.energy.total());
-    EXPECT_EQ(a.retransmissions, b.retransmissions);
-    EXPECT_EQ(a.fault_bit_errors, b.fault_bit_errors);
-    EXPECT_EQ(a.blacklisted_channels, b.blacklisted_channels);
-    EXPECT_EQ(a.unroutable_drops, b.unroutable_drops);
-    EXPECT_EQ(a.fault_diagnosis, b.fault_diagnosis);
-}
-
 TEST(Snapshot, RestoredRunBitIdentical)
 {
     // Checkpoint mid-run and resume: the resumed run must reproduce
@@ -113,7 +85,7 @@ TEST(Snapshot, RestoredRunBitIdentical)
     ASSERT_TRUE(full.completed);
     const std::string path = tmpPath("rt.ckpt");
     checkpointAt(job, 4000, path);
-    expectIdentical(full, resumeFrom(path, job));
+    testsupport::expectSameResult(full, resumeFrom(path, job));
     std::filesystem::remove(path);
 }
 
@@ -128,7 +100,7 @@ TEST(Snapshot, RestoredFaultedRunBitIdentical)
     EXPECT_GT(full.fault_bit_errors, 0u);
     const std::string path = tmpPath("fault.ckpt");
     checkpointAt(job, 4000, path);
-    expectIdentical(full, resumeFrom(path, job));
+    testsupport::expectSameResult(full, resumeFrom(path, job));
     std::filesystem::remove(path);
 
     // Mesh with dead links exercises the reroute/retx machinery.
@@ -138,7 +110,7 @@ TEST(Snapshot, RestoredFaultedRunBitIdentical)
     ASSERT_TRUE(mesh_full.completed);
     const std::string mpath = tmpPath("fault_mesh.ckpt");
     checkpointAt(mesh, 4000, mpath);
-    expectIdentical(mesh_full, resumeFrom(mpath, mesh));
+    testsupport::expectSameResult(mesh_full, resumeFrom(mpath, mesh));
     std::filesystem::remove(mpath);
 }
 
@@ -173,9 +145,77 @@ TEST(Snapshot, RestoreThenSaveIsByteIdentical)
         sys.restoreCheckpoint(first);
         sys.saveCheckpoint(second);
         EXPECT_EQ(bytes, readBytes(second)) << "at cycle " << c.at;
-        expectIdentical(full, sys.run());
+        testsupport::expectSameResult(full, sys.run());
         std::filesystem::remove(first);
         std::filesystem::remove(second);
+    }
+}
+
+/** The "name size hash" manifest stats_report --snapshot --manifest
+ *  prints, so a mismatch below can be diffed against a reference. */
+std::string
+manifestOf(const snapshot::SnapshotReader &snap)
+{
+    std::ostringstream os;
+    char line[512];
+    std::snprintf(line, sizeof(line), "snapshot v%u root %016llx\n",
+                  snap.version(),
+                  static_cast<unsigned long long>(snap.rootHash()));
+    os << line;
+    for (const auto &s : snap.sections()) {
+        std::snprintf(line, sizeof(line), "%s %llu %016llx\n",
+                      s.name.c_str(),
+                      static_cast<unsigned long long>(s.size),
+                      static_cast<unsigned long long>(s.hash));
+        os << line;
+    }
+    return os.str();
+}
+
+TEST(Snapshot, GoldenRootHashes)
+{
+    // Pins the checkpoint bytes of every network kind's serializer,
+    // the fault state included: the root hash covers each section's
+    // name, size and FNV-1a, so any change to a field's width, order
+    // or presence moves it (RestoreThenSaveIsByteIdentical only checks
+    // self-consistency). A mismatch is a format change: never
+    // regenerate these constants to make a serializer edit pass. On a
+    // mismatch the manifest below diffs against
+    // `stats_report --snapshot F --manifest` of a reference build.
+    struct Case
+    {
+        const char *label;
+        sim::NetKind kind;
+        std::uint64_t seed;
+        Cycle at;
+        double ber;
+        double dead_link_fraction;
+        std::uint64_t root;
+    };
+    const Case cases[] = {
+        {"fsoi", sim::NetKind::Fsoi, 42, 21916, 0.0, 0.0,
+         0x047980469c232470ULL},
+        {"mesh", sim::NetKind::Mesh, 42, 43242, 0.0, 0.0,
+         0x695bfca35b456fb7ULL},
+        {"l0", sim::NetKind::L0, 42, 21916, 0.0, 0.0,
+         0xe7cab6082e608a1fULL},
+        {"fsoi_ber", sim::NetKind::Fsoi, 7, 4000, 1e-4, 0.0,
+         0x5b46dceb78fbe219ULL},
+        {"mesh_dead_links", sim::NetKind::Mesh, 7, 4000, 0.0, 1.0 / 24.0,
+         0xaca2182189223272ULL},
+    };
+    for (const Case &c : cases) {
+        auto job = point(c.kind, "fft", c.seed);
+        job.config.fault.ber = c.ber;
+        job.config.fault.dead_link_fraction = c.dead_link_fraction;
+        const std::string path = tmpPath(std::string("golden_") + c.label
+                                         + ".ckpt");
+        checkpointAt(job, c.at, path);
+        const auto snap = snapshot::SnapshotReader::fromFile(path);
+        EXPECT_EQ(snap.rootHash(), c.root)
+            << c.label << " at cycle " << c.at << ", manifest:\n"
+            << manifestOf(snap);
+        std::filesystem::remove(path);
     }
 }
 
@@ -221,11 +261,36 @@ TEST(Snapshot, TruncatedFileNamesTheSection)
             << e.what();
     }
 
-    // Cutting inside the header is a malformed container.
-    auto header_cut = bytes;
-    header_cut.resize(12);
-    EXPECT_THROW(snapshot::SnapshotReader snap2(std::move(header_cut)),
-                 snapshot::SnapshotError);
+    // A file that ends inside the fixed header or inside a section
+    // table entry is truncation too, diagnosed as such.
+    const auto diagnosis = [&](std::size_t keep) {
+        try {
+            snapshot::SnapshotReader snap(std::vector<std::uint8_t>(
+                bytes.begin(), bytes.begin() + keep));
+        } catch (const snapshot::SnapshotError &e) {
+            return std::string(e.what());
+        }
+        return std::string("parsed");
+    };
+    EXPECT_EQ(diagnosis(0), "snapshot.truncated: header");
+    EXPECT_EQ(diagnosis(12), "snapshot.truncated: header");
+    EXPECT_EQ(diagnosis(24 + 1), "snapshot.truncated: section table");
+    EXPECT_EQ(diagnosis(24 + 2 + 3), "snapshot.truncated: section table");
+}
+
+TEST(Snapshot, UnreadablePathIsAnIoError)
+{
+    // A read error is not a malformed snapshot: fromFile() names the
+    // path instead of blaming the header.
+    const std::string dir = tmpPath("a_directory");
+    std::filesystem::create_directories(dir);
+    try {
+        (void)snapshot::SnapshotReader::fromFile(dir);
+        FAIL() << "read a directory as a snapshot";
+    } catch (const snapshot::SnapshotError &e) {
+        EXPECT_EQ(std::string(e.what()), "snapshot.io: cannot read " + dir);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, BitFlipNamesTheSection)
