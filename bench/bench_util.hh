@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -23,6 +24,7 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "obs/cli.hh"
 #include "obs/stat_registry.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/system.hh"
@@ -164,11 +166,12 @@ class Sweep
         int jobs = 0; // 0 = hardware concurrency
         int keep = 1;
         for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--jobs=", 0) == 0)
-                jobs = std::atoi(arg.data() + 7);
-            else
+            if (const char *v = obs::flagValue(argv[i], "--jobs")) {
+                jobs = static_cast<int>(obs::parseFlagInt(
+                    "--jobs", v, 0, std::numeric_limits<int>::max()));
+            } else {
                 argv[keep++] = argv[i];
+            }
         }
         argv[keep] = nullptr;
         argc = keep;

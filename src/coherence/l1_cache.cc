@@ -25,11 +25,15 @@ l1StateName(L1State state)
 
 L1Cache::L1Cache(NodeId node, const L1Config &config, Transport &transport,
                  FunctionalMemory &memory,
-                 std::function<NodeId(Addr)> home_of)
+                 std::function<NodeId(Addr)> home_of,
+                 CompletionHandler on_complete)
     : node_(node), config_(config), transport_(transport), memory_(memory),
-      homeOf_(std::move(home_of)), array_(config.geometry)
+      homeOf_(std::move(home_of)), onComplete_(std::move(on_complete)),
+      array_(config.geometry)
 {
     FSOI_ASSERT(config_.num_mshrs >= 1 && config_.store_buffer >= 1);
+    FSOI_ASSERT(onComplete_ != nullptr, "L1 %u has no completion handler",
+                node_);
     mshrs_.reset(config_.num_mshrs);
 }
 
@@ -84,10 +88,9 @@ L1Cache::queueSend(NodeId dst, const Message &msg)
 }
 
 void
-L1Cache::scheduleDone(Cycle due, Callback cb, std::uint64_t value,
-                      bool success)
+L1Cache::scheduleDone(Cycle due, std::uint64_t value, bool success)
 {
-    pendingDone_.push_back(PendingDone{due, std::move(cb), value, success});
+    pendingDone_.push_back(PendingDone{due, value, success});
 }
 
 void
@@ -128,7 +131,7 @@ L1Cache::issueRequest(Addr line, Mshr &mshr)
 }
 
 bool
-L1Cache::load(Addr addr, Callback cb)
+L1Cache::load(Addr addr)
 {
     const Addr line = array_.lineAddr(addr);
 
@@ -138,8 +141,7 @@ L1Cache::load(Addr addr, Callback cb)
             stats_.loads++;
             stats_.l1_accesses++;
             stats_.load_hits++;
-            scheduleDone(now_ + config_.hit_latency, std::move(cb),
-                         it->value, true);
+            scheduleDone(now_ + config_.hit_latency, it->value, true);
             return true;
         }
     }
@@ -148,15 +150,14 @@ L1Cache::load(Addr addr, Callback cb)
         stats_.loads++;
         stats_.l1_accesses++;
         stats_.load_hits++;
-        scheduleDone(now_ + config_.hit_latency, std::move(cb),
-                     memory_.read(addr), true);
+        scheduleDone(now_ + config_.hit_latency, memory_.read(addr), true);
         return true;
     }
 
     if (const int idx = mshrs_.find(line); idx >= 0) {
         stats_.loads++;
         stats_.l1_accesses++;
-        mshrs_.at(idx).loads.emplace_back(addr, std::move(cb));
+        mshrs_.at(idx).loads.push_back(addr);
         return true;
     }
 
@@ -168,13 +169,13 @@ L1Cache::load(Addr addr, Callback cb)
     stats_.misses++;
     Mshr &mshr = mshrs_.at(mshrs_.alloc(line));
     mshr.want = Mshr::Want::Shared;
-    mshr.loads.emplace_back(addr, std::move(cb));
+    mshr.loads.push_back(addr);
     issueRequest(line, mshr);
     return true;
 }
 
 bool
-L1Cache::loadLinked(Addr addr, Callback cb)
+L1Cache::loadLinked(Addr addr)
 {
     const Addr line = array_.lineAddr(addr);
 
@@ -184,8 +185,7 @@ L1Cache::loadLinked(Addr addr, Callback cb)
         stats_.load_hits++;
         linkValid_ = true;
         linkLine_ = line;
-        scheduleDone(now_ + config_.hit_latency, std::move(cb),
-                     memory_.read(addr), true);
+        scheduleDone(now_ + config_.hit_latency, memory_.read(addr), true);
         return true;
     }
 
@@ -194,7 +194,7 @@ L1Cache::loadLinked(Addr addr, Callback cb)
         stats_.l1_accesses++;
         Mshr &mshr = mshrs_.at(idx);
         mshr.is_ll = true;
-        mshr.loads.emplace_back(addr, std::move(cb));
+        mshr.loads.push_back(addr);
         return true;
     }
     if (mshrs_.full())
@@ -206,7 +206,7 @@ L1Cache::loadLinked(Addr addr, Callback cb)
     Mshr &mshr = mshrs_.at(mshrs_.alloc(line));
     mshr.want = Mshr::Want::Shared;
     mshr.is_ll = true;
-    mshr.loads.emplace_back(addr, std::move(cb));
+    mshr.loads.push_back(addr);
     issueRequest(line, mshr);
     return true;
 }
@@ -222,14 +222,14 @@ L1Cache::store(Addr addr, std::uint64_t value)
 }
 
 bool
-L1Cache::storeConditional(Addr addr, std::uint64_t value, Callback cb)
+L1Cache::storeConditional(Addr addr, std::uint64_t value)
 {
     const Addr line = array_.lineAddr(addr);
     stats_.l1_accesses++;
 
     if (!linkValid_ || linkLine_ != line) {
         stats_.sc_failures++;
-        scheduleDone(now_ + 1, std::move(cb), 0, false);
+        scheduleDone(now_ + 1, 0, false);
         return true;
     }
 
@@ -239,7 +239,7 @@ L1Cache::storeConditional(Addr addr, std::uint64_t value, Callback cb)
         ln->meta.state = L1State::M;
         memory_.write(addr, value);
         stats_.store_hits++;
-        scheduleDone(now_ + config_.hit_latency, std::move(cb), value, true);
+        scheduleDone(now_ + config_.hit_latency, value, true);
         return true;
     }
     if (ln && ln->meta.state == L1State::S) {
@@ -253,21 +253,19 @@ L1Cache::storeConditional(Addr addr, std::uint64_t value, Callback cb)
             mshr.is_sc = true;
             mshr.sc_addr = addr;
             mshr.sc_value = value;
-            mshr.sc_cb = std::move(cb);
             issueRequest(line, mshr);
         } else {
             Mshr &mshr = mshrs_.at(idx);
             mshr.is_sc = true;
             mshr.sc_addr = addr;
             mshr.sc_value = value;
-            mshr.sc_cb = std::move(cb);
         }
         return true;
     }
     // Link register valid but line not readable: treat as failure.
     stats_.sc_failures++;
     linkValid_ = false;
-    scheduleDone(now_ + 1, std::move(cb), 0, false);
+    scheduleDone(now_ + 1, 0, false);
     return true;
 }
 
@@ -342,16 +340,15 @@ L1Cache::finishMshr(Addr line, L1State granted)
         if (writable && linkValid_ && linkLine_ == line) {
             memory_.write(mshr.sc_addr, mshr.sc_value);
             ln->meta.state = L1State::M;
-            scheduleDone(now_ + 1, std::move(mshr.sc_cb), mshr.sc_value,
-                         true);
+            scheduleDone(now_ + 1, mshr.sc_value, true);
         } else {
             stats_.sc_failures++;
-            scheduleDone(now_ + 1, std::move(mshr.sc_cb), 0, false);
+            scheduleDone(now_ + 1, 0, false);
         }
     }
 
-    for (auto &[addr, cb] : mshr.loads)
-        scheduleDone(now_ + 1, std::move(cb), memory_.read(addr), true);
+    for (const Addr addr : mshr.loads)
+        scheduleDone(now_ + 1, memory_.read(addr), true);
 
     if (mshr.inv_pending) {
         // Read-once: the invalidation was acknowledged when it
@@ -631,11 +628,11 @@ L1Cache::tick(Cycle now)
     {
         std::size_t keep = 0;
         for (std::size_t i = 0; i < pendingDone_.size(); ++i) {
-            auto &done = pendingDone_[i];
+            const PendingDone &done = pendingDone_[i];
             if (done.due <= now)
-                done.cb(done.value, done.success);
+                onComplete_(done.value, done.success);
             else
-                pendingDone_[keep++] = std::move(done);
+                pendingDone_[keep++] = done;
         }
         pendingDone_.resize(keep);
     }
@@ -683,21 +680,15 @@ L1Cache::tick(Cycle now)
 }
 
 void
-L1Cache::serialize(snapshot::Archive &ar, const Callback &core_cb)
+L1Cache::serialize(snapshot::Archive &ar)
 {
     ar(array_);
     mshrs_.serialize(ar, [&](Mshr &mshr) {
         ar(mshr.want);
-        ar.seq(mshr.loads, [&](std::pair<Addr, Callback> &load) {
-            ar(load.first);
-            if (ar.loading())
-                load.second = core_cb;
-        });
+        ar.seq(mshr.loads);
         ar(mshr.store_pending, mshr.is_ll, mshr.is_sc, mshr.sc_addr,
            mshr.sc_value, mshr.inv_pending, mshr.dwg_pending,
            mshr.retry_at, mshr.request_outstanding, mshr.created);
-        if (ar.loading() && mshr.is_sc)
-            mshr.sc_cb = core_cb;
     });
 
     ar.seq(storeBuffer_, [&](StoreEntry &entry) {
@@ -707,8 +698,6 @@ L1Cache::serialize(snapshot::Archive &ar, const Callback &core_cb)
     ar.seq(deferredData_);
     ar.seq(pendingDone_, [&](PendingDone &done) {
         ar(done.due, done.value, done.success);
-        if (ar.loading())
-            done.cb = core_cb;
     });
     ar(linkLine_, linkValid_, now_);
 

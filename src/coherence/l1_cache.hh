@@ -4,10 +4,13 @@
  * half) with the transient states I.SD, I.MD and S.MA realized as MSHR
  * bookkeeping.
  *
- * The controller is callback-driven: the core issues loads, stores and
- * ll/sc operations; misses allocate MSHRs and complete when the
- * directory's response arrives. Stores drain through a store buffer so
- * the in-order core only stalls when the buffer fills.
+ * The core issues loads, stores and ll/sc operations; misses allocate
+ * MSHRs and complete when the directory's response arrives. Every
+ * load, ll and sc completes through the one completion handler the
+ * controller receives at construction: the in-order core blocks on each
+ * of them, so all pending completions belong to the core that owns this
+ * L1. Stores drain through a store buffer so the in-order core only
+ * stalls when the buffer fills.
  *
  * Race handling over unordered networks: an Inv or Dwg that arrives
  * while a Data response is still in flight (possible in the mesh, where
@@ -23,7 +26,6 @@
 
 #include <deque>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "coherence/cache_array.hh"
@@ -83,16 +85,22 @@ struct L1Stats
 class L1Cache
 {
   public:
-    /** Completion callback: value is meaningful for loads/ll/sc. */
-    using Callback = std::function<void(std::uint64_t value, bool success)>;
+    /**
+     * Receives every load/ll/sc completion in tick(): the loaded value
+     * (the stored value for a successful sc, 0 for a failed one) and
+     * the sc outcome (always true for loads and ll).
+     */
+    using CompletionHandler =
+        std::function<void(std::uint64_t value, bool success)>;
 
     /**
-     * @param node    network endpoint id of this L1's core
-     * @param home_of maps a line address to its home directory node
+     * @param node        network endpoint id of this L1's core
+     * @param home_of     maps a line address to its home directory node
+     * @param on_complete the owning core's completion handler (non-null)
      */
     L1Cache(NodeId node, const L1Config &config, Transport &transport,
-            FunctionalMemory &memory,
-            std::function<NodeId(Addr)> home_of);
+            FunctionalMemory &memory, std::function<NodeId(Addr)> home_of,
+            CompletionHandler on_complete);
 
     NodeId node() const { return node_; }
     const L1Stats &stats() const { return stats_; }
@@ -108,22 +116,23 @@ class L1Cache
 
     /**
      * Issue a load. Returns false when no MSHR is available (the core
-     * retries next cycle). The callback fires when the value is ready
-     * (hit_latency later on a hit).
+     * retries next cycle). The completion handler fires when the value
+     * is ready (hit_latency later on a hit).
      */
-    bool load(Addr addr, Callback cb);
+    bool load(Addr addr);
 
     /** Issue a store through the store buffer; false when full. */
     bool store(Addr addr, std::uint64_t value);
 
     /** Load-linked: as load, but arms the link register. */
-    bool loadLinked(Addr addr, Callback cb);
+    bool loadLinked(Addr addr);
 
     /**
-     * Store-conditional: callback reports success. Fails immediately
-     * (no traffic) when the link register no longer covers @p addr.
+     * Store-conditional: the completion reports success. Fails
+     * immediately (no traffic) when the link register no longer covers
+     * @p addr.
      */
-    bool storeConditional(Addr addr, std::uint64_t value, Callback cb);
+    bool storeConditional(Addr addr, std::uint64_t value);
 
     /** Handle a message delivered by the transport. */
     void handleMessage(const Message &msg);
@@ -193,13 +202,12 @@ class L1Cache
     {
         enum class Want : std::uint8_t { Shared, Exclusive, Upgrade };
         Want want = Want::Shared;
-        std::vector<std::pair<Addr, Callback>> loads;
+        std::vector<Addr> loads;    //!< load/ll addresses to complete
         bool store_pending = false; //!< store-buffer head waits on this
         bool is_ll = false;         //!< arm link on completion
         bool is_sc = false;         //!< report sc outcome
         Addr sc_addr = 0;
         std::uint64_t sc_value = 0;
-        Callback sc_cb;
         bool inv_pending = false;   //!< Inv arrived mid-flight
         bool dwg_pending = false;   //!< Dwg arrived mid-flight
         Cycle retry_at = kNoCycle;  //!< NACK back-off deadline
@@ -221,8 +229,7 @@ class L1Cache
 
     void queueSend(NodeId dst, const Message &msg);
     void issueRequest(Addr line, Mshr &mshr);
-    void scheduleDone(Cycle due, Callback cb, std::uint64_t value,
-                      bool success);
+    void scheduleDone(Cycle due, std::uint64_t value, bool success);
     void handleData(const Message &msg, L1State granted);
     void handleExcAck(const Message &msg);
     void handleInv(const Message &msg);
@@ -242,6 +249,7 @@ class L1Cache
     Transport &transport_;
     FunctionalMemory &memory_;
     std::function<NodeId(Addr)> homeOf_;
+    CompletionHandler onComplete_;
 
     CacheArray<LineMeta> array_;
     /** Outstanding misses by line; NACK retries issue in line order. */
@@ -250,10 +258,10 @@ class L1Cache
     std::deque<OutMsg> outbox_;
     std::vector<Message> deferredData_; //!< fills waiting for a free way
 
+    /** A completion waiting for its cycle (hit latency, fill + 1). */
     struct PendingDone
     {
         Cycle due;
-        Callback cb;
         std::uint64_t value;
         bool success;
     };
@@ -269,14 +277,12 @@ class L1Cache
 
   public:
     /**
-     * Checkpoint/restore (snapshot/serialize.hh). Completion callbacks
-     * are wiring, not data: every pending callback in this controller
-     * is the owning core's canonical completion callback, so a load
-     * re-binds the entries to @p core_cb instead of serializing
-     * closures. MSHRs go sorted by line address (LineTable::serialize)
+     * Checkpoint/restore (snapshot/serialize.hh). Pending completions
+     * are plain data; the handler they go to is construction-time
+     * wiring. MSHRs go sorted by line address (LineTable::serialize)
      * so snapshot bytes never depend on slot-allocation history.
      */
-    void serialize(snapshot::Archive &ar, const Callback &core_cb);
+    void serialize(snapshot::Archive &ar);
 };
 
 } // namespace fsoi::coherence

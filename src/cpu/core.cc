@@ -42,22 +42,6 @@ Core::bind(std::unique_ptr<workload::InstrStream> stream)
     stream_ = std::move(stream);
 }
 
-coherence::L1Cache::Callback
-Core::completionCallback()
-{
-    // Unconditionally latch all three rendezvous fields: each waiting
-    // mode reads only the fields its operation defines, so the extra
-    // stores are unobservable — and a single canonical callback is what
-    // lets L1Cache::serialize() re-bind restored requests to it.
-    return [this](std::uint64_t v, bool ok) {
-        cbArrived_ = true;
-        cbValue_ = v;
-        cbSuccess_ = ok;
-        if (wakeHook_)
-            wakeHook_();
-    };
-}
-
 void
 Core::onControlBit(std::uint64_t tag)
 {
@@ -72,11 +56,6 @@ Core::onControlBit(std::uint64_t tag)
         subDirectValue_ = value;
         subDirectSuccess_ = success;
     }
-    // Wake unconditionally, matching the tick-every-cycle engine: a
-    // spinning core re-examined subValues_ on every delivery, direct
-    // or not, so even a "useless" bit must trigger a (no-op) tick.
-    if (wakeHook_)
-        wakeHook_();
 }
 
 bool
@@ -173,8 +152,8 @@ Core::nextEventCycle(Cycle now) const
       case Mode::BarSpinPause:
         return std::max(busyUntil_, now + 1);
 
-      // Callback rendezvous: nothing to do until the L1 completion
-      // lands (which wakes us through the wake hook).
+      // L1 rendezvous: nothing to do until the completion lands
+      // (the System wakes us when it delivers one).
       case Mode::LoadWait:
       case Mode::LockLlWait:
       case Mode::LockScWait:
@@ -191,8 +170,8 @@ Core::nextEventCycle(Cycle now) const
         return subDirectArrived_ ? now + 1 : kNoCycle;
 
       // Passive spin on the subscription value table: progress only
-      // when a control bit flips the watched word (wake hook), or
-      // immediately if the wanted value is already there.
+      // when a control bit flips the watched word (its delivery wakes
+      // us), or immediately if the wanted value is already there.
       case Mode::SubSpin:
         return subSpinSatisfied() ? now + 1 : kNoCycle;
 
@@ -232,8 +211,8 @@ Core::catchUp(Cycle now)
       case Mode::SubLlWait:
       case Mode::SubScWait:
       case Mode::SubStoreWait:
-        // Every skipped cycle preceded the arrival (arrival itself
-        // forces a same-cycle tick through the wake hook).
+        // Every skipped cycle preceded the arrival (the System wakes
+        // the core for a same-cycle tick on every delivery).
         stats_.stall_cycles += gap;
         return;
 
@@ -303,7 +282,7 @@ Core::tick(Cycle now)
 
       case Mode::LoadIssue:
         cbArrived_ = false;
-        if (l1_.load(instr_.addr, completionCallback()))
+        if (l1_.load(instr_.addr))
             mode_ = Mode::LoadWait;
         return;
 
@@ -330,7 +309,7 @@ Core::tick(Cycle now)
       // ----- test-and-test-and-set lock, ll/sc flavour -----
       case Mode::LockLl:
         cbArrived_ = false;
-        if (l1_.loadLinked(instr_.addr, completionCallback()))
+        if (l1_.loadLinked(instr_.addr))
             mode_ = Mode::LockLlWait;
         return;
 
@@ -345,7 +324,7 @@ Core::tick(Cycle now)
 
       case Mode::LockSc:
         cbArrived_ = false;
-        if (l1_.storeConditional(instr_.addr, 1, completionCallback()))
+        if (l1_.storeConditional(instr_.addr, 1))
             mode_ = Mode::LockScWait;
         return;
 
@@ -383,7 +362,7 @@ Core::tick(Cycle now)
 
       case Mode::LockSpinLoad:
         cbArrived_ = false;
-        if (l1_.load(instr_.addr, completionCallback()))
+        if (l1_.load(instr_.addr))
             mode_ = Mode::LockSpinWait;
         return;
 
@@ -410,7 +389,7 @@ Core::tick(Cycle now)
       // ----- sense-reversing barrier with ll/sc fetch-and-increment -----
       case Mode::BarLl:
         cbArrived_ = false;
-        if (l1_.loadLinked(instr_.addr, completionCallback()))
+        if (l1_.loadLinked(instr_.addr))
             mode_ = Mode::BarLlWait;
         return;
 
@@ -425,8 +404,7 @@ Core::tick(Cycle now)
 
       case Mode::BarSc:
         cbArrived_ = false;
-        if (l1_.storeConditional(instr_.addr, llValue_ + 1,
-                                 completionCallback()))
+        if (l1_.storeConditional(instr_.addr, llValue_ + 1))
             mode_ = Mode::BarScWait;
         return;
 
@@ -480,7 +458,7 @@ Core::tick(Cycle now)
 
       case Mode::BarSpinLoad:
         cbArrived_ = false;
-        if (l1_.load(instr_.addr + 64, completionCallback()))
+        if (l1_.load(instr_.addr + 64))
             mode_ = Mode::BarSpinWait;
         return;
 

@@ -91,21 +91,13 @@ class Core
 
     /**
      * Event-calendar contract: the next cycle this core must tick, or
-     * kNoCycle for "only on delivery" (a waiting core is woken by its
-     * completion callback / control bit through the wake hook). Always
-     * a pure function of core state, so the scheduler can drop and
+     * kNoCycle for "only on delivery" (the System wakes a waiting core
+     * when it delivers an L1 completion or a control bit). Always a
+     * pure function of core state, so the scheduler can drop and
      * recompute it at will; a tick earlier than the reported cycle is
      * harmless (catchUp() keeps the cycle accounting exact).
      */
     Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Invoked whenever an external event (L1 completion callback,
-     * subscription control bit) lands on this core, so the scheduler
-     * can queue a sleeping core for the current cycle's core phase.
-     */
-    void setWakeHook(std::function<void()> hook)
-    { wakeHook_ = std::move(hook); }
 
     /**
      * Bring the stall/active cycle counters up to date through cycle
@@ -116,19 +108,25 @@ class Core
      */
     void syncStats(Cycle now);
 
+    /**
+     * L1 completion of this core's outstanding load, ll or sc (the
+     * System routes the L1's completion handler here). Latches all
+     * three rendezvous fields: each waiting mode reads only the ones
+     * its operation defines.
+     */
+    void
+    complete(std::uint64_t value, bool success)
+    {
+        cbArrived_ = true;
+        cbValue_ = value;
+        cbSuccess_ = success;
+    }
+
     /** Subscription side-channel delivery (wired up by the System). */
     void onControlBit(std::uint64_t tag);
 
     /** Print execution state to stderr (watchdog diagnostics). */
     void debugDump() const;
-
-    /**
-     * The canonical L1 completion callback. Every request this core
-     * issues carries (a copy of) this callback, which makes pending L1
-     * callbacks restorable: L1Cache::serialize() re-binds loaded
-     * entries to it instead of serializing closures.
-     */
-    coherence::L1Cache::Callback completionCallback();
 
     /**
      * Checkpoint/restore (snapshot/serialize.hh). The instruction
@@ -198,7 +196,7 @@ class Core
     Cycle busyUntil_ = 0;
     Cycle now_ = 0;
 
-    // Callback rendezvous.
+    // L1 completion rendezvous (complete()).
     bool cbArrived_ = false;
     std::uint64_t cbValue_ = 0;
     bool cbSuccess_ = false;
@@ -219,9 +217,6 @@ class Core
     // Subscription-mode sequencing within a macro-op.
     int syncStep_ = 0;
     int scFails_ = 0; //!< consecutive sc failures (backoff doubling)
-
-    // Scheduler wake notification; not serialized (rewired on restore).
-    std::function<void()> wakeHook_;
 
     CoreStats stats_;
 };

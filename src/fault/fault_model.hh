@@ -160,7 +160,6 @@ class FaultInjector
         return edge >= 0 && deadLink_[edge] != 0;
     }
 
-    bool anyDeadMeshLinks() const { return deadLinkCount_ > 0; }
     std::uint64_t deadRxCount() const { return deadRxCount_; }
     std::uint64_t deadTxCount() const { return deadTxCount_; }
     std::uint64_t deadLinkCount() const { return deadLinkCount_; }

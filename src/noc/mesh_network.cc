@@ -166,8 +166,6 @@ struct MeshNetwork::Router
     };
 
     int id = 0;
-    int x = 0;
-    int y = 0;
     int scan_phase = 0; //!< rotating input-port priority (fairness)
     int buffered_flits = 0; //!< flits across all input VC buffers
     std::vector<InPort> in;
@@ -235,8 +233,6 @@ MeshNetwork::MeshNetwork(const MeshLayout &layout, const MeshConfig &config,
     for (int r = 0; r < num_routers; ++r) {
         Router &router = routers_.emplace_back();
         router.id = r;
-        router.x = layout_.xOf(r);
-        router.y = layout_.yOf(r);
         const int num_ports = kFirstLocal + local_ports[r];
         router.in.resize(num_ports);
         router.out.resize(num_ports);
@@ -303,10 +299,7 @@ MeshNetwork::MeshNetwork(const MeshLayout &layout, const MeshConfig &config,
     flits_[0] = computeFlitsPerPacket(PacketClass::Meta);
     flits_[1] = computeFlitsPerPacket(PacketClass::Data);
 
-    // The routing table exists only when links are actually dead; on a
-    // healthy grid the inline XY computation below stays untouched.
-    if (fault_ && fault_->anyDeadMeshLinks())
-        buildRouteTable();
+    buildRouteTable();
 }
 
 void
@@ -316,8 +309,13 @@ MeshNetwork::buildRouteTable()
     nextHop_.assign(static_cast<std::size_t>(n) * n, -1);
     // One BFS per destination over the live links (edges die with both
     // directions, so the graph stays undirected). The neighbour scan
-    // order E, W, N, S matches XY's preference, keeping routes
-    // XY-flavoured wherever XY still works.
+    // order E, W, N, S picks the first port that closes the distance:
+    // on a healthy grid that is exactly XY's port (x first, then y),
+    // and routes stay XY-flavoured wherever XY still works.
+    const auto live = [this](int r, int d) {
+        return routers_[r].out[d].peer
+            && !(fault_ && fault_->linkDead(r, d));
+    };
     std::vector<int> dist(n);
     std::vector<int> bfs(n);
     for (int dst = 0; dst < n; ++dst) {
@@ -328,9 +326,9 @@ MeshNetwork::buildRouteTable()
         while (head < tail) {
             const int r = bfs[head++];
             for (int d = 0; d < 4; ++d) {
-                const Router *peer = routers_[r].out[d].peer;
-                if (!peer || fault_->linkDead(r, d))
+                if (!live(r, d))
                     continue;
+                const Router *peer = routers_[r].out[d].peer;
                 if (dist[peer->id] < 0) {
                     dist[peer->id] = dist[r] + 1;
                     bfs[tail++] = peer->id;
@@ -341,9 +339,9 @@ MeshNetwork::buildRouteTable()
             if (r == dst || dist[r] < 0)
                 continue;
             for (int d = 0; d < 4; ++d) {
-                const Router *peer = routers_[r].out[d].peer;
-                if (!peer || fault_->linkDead(r, d))
+                if (!live(r, d))
                     continue;
+                const Router *peer = routers_[r].out[d].peer;
                 if (dist[peer->id] == dist[r] - 1) {
                     nextHop_[static_cast<std::size_t>(dst) * n + r] =
                         static_cast<std::int16_t>(d);
@@ -357,8 +355,6 @@ MeshNetwork::buildRouteTable()
 bool
 MeshNetwork::reachable(NodeId src, NodeId dst) const
 {
-    if (nextHop_.empty())
-        return true;
     const int sr = layout_.routerOf(src);
     const int dr = layout_.routerOf(dst);
     if (sr == dr)
@@ -370,8 +366,6 @@ MeshNetwork::reachable(NodeId src, NodeId dst) const
 bool
 MeshNetwork::fullyConnected() const
 {
-    if (nextHop_.empty())
-        return true;
     const std::size_t n = routers_.size();
     for (std::size_t dst = 0; dst < n; ++dst)
         for (std::size_t r = 0; r < n; ++r)
@@ -697,8 +691,7 @@ MeshNetwork::tick(Cycle now)
                     Router &dr = routers_[dst_router];
                     if (dr.id == router.id) {
                         vc.out_port = localPortOf(fpkt.dst);
-                    } else if (!nextHop_.empty()) {
-                        // Fault-aware table built around dead links.
+                    } else {
                         const int hop = nextHop_[
                             static_cast<std::size_t>(dst_router)
                             * routers_.size() + router.id];
@@ -706,12 +699,6 @@ MeshNetwork::tick(Cycle now)
                                     "no live route r%d -> r%d",
                                     router.id, dst_router);
                         vc.out_port = hop;
-                    } else if (router.x != layout_.xOf(dst_router)) {
-                        vc.out_port = router.x < layout_.xOf(dst_router)
-                            ? kEast : kWest;
-                    } else {
-                        vc.out_port = router.y < layout_.yOf(dst_router)
-                            ? kSouth : kNorth;
                     }
                 }
                 FSOI_ASSERT(vc.out_port >= 0 || !flit.head,

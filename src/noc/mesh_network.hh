@@ -5,7 +5,9 @@
  * Canonical 4-cycle virtual-channel wormhole routers (buffer write /
  * route compute, VC allocation, switch allocation, switch traversal)
  * with credit-based flow control, XY dimension-order routing, 4 VCs per
- * input port, 12-flit VC buffers and 1-cycle links (Table 3).
+ * input port, 12-flit VC buffers and 1-cycle links (Table 3). Routes
+ * come from one per-destination BFS next-hop table: XY on a healthy
+ * grid, detours around dead links under fault injection.
  *
  * Meta packets occupy 1 flit, data packets 5 flits (72-bit flits). VCs
  * are partitioned between the two classes (2 + 2), which keeps request
@@ -72,11 +74,10 @@ class MeshNetwork : public Network
   public:
     /**
      * @p fault, when non-null, injects the scheduled hardware faults:
-     * dead mesh links are routed around with per-destination BFS
-     * next-hop tables (falling back to plain XY when no link is dead),
-     * packets without any live route are dropped and counted, and
-     * CRC-detected corrupted ejections are NACKed back to the source
-     * for retransmission.
+     * the BFS next-hop table routes around dead mesh links, packets
+     * without any live route are dropped and counted, and CRC-detected
+     * corrupted ejections are NACKed back to the source for
+     * retransmission.
      */
     MeshNetwork(const MeshLayout &layout, const MeshConfig &config,
                 fault::FaultInjector *fault = nullptr);
@@ -123,7 +124,7 @@ class MeshNetwork : public Network
 
     /**
      * True when a live route exists from @p src to @p dst. Always true
-     * without dead links (plain XY never fails on a healthy grid).
+     * without dead links (every router reaches every other).
      */
     bool reachable(NodeId src, NodeId dst) const;
 
@@ -192,7 +193,7 @@ class MeshNetwork : public Network
     int localPortOf(NodeId endpoint) const;
     int computeFlitsPerPacket(PacketClass cls) const;
 
-    /** BFS per-destination next-hop tables avoiding dead links. */
+    /** BFS per-destination next-hop table over the live links. */
     void buildRouteTable();
 
     MeshLayout layout_;
@@ -200,10 +201,9 @@ class MeshNetwork : public Network
     MeshActivity activity_;
     fault::FaultInjector *fault_; //!< non-owning; null = healthy system
     /**
-     * Fault-aware routing table, [dst_router * num_routers + router] ->
-     * output port (-1 = unreachable). Empty when no mesh link is dead,
-     * in which case the inline XY computation is byte-for-byte the
-     * pre-fault behaviour.
+     * The only router: [dst_router * num_routers + router] -> output
+     * port (-1 = unreachable). On a healthy grid every entry is the
+     * XY port; dead links get BFS detours.
      */
     std::vector<std::int16_t> nextHop_;
     /** Per-router, per-direction link traversal counts (heatmap). */

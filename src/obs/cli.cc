@@ -1,19 +1,13 @@
 #include "obs/cli.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
 
 namespace fsoi::obs {
 
-namespace {
-
-/** Value of "--name=value" when @p arg matches, else nullptr. */
 const char *
-matchValue(const char *arg, const char *name)
+flagValue(const char *arg, const char *name)
 {
     const std::size_t n = std::strlen(name);
     if (std::strncmp(arg, name, n) == 0 && arg[n] == '=')
@@ -21,24 +15,24 @@ matchValue(const char *arg, const char *name)
     return nullptr;
 }
 
-/**
- * Strict positive integer for flag @p name: strtoull over the whole
- * value, no sign, no suffix, no overflow, nonzero. Dies naming the
- * flag otherwise, so "--checkpoint-every=1e6" cannot mean 1.
- */
 std::uint64_t
-parsePositive(const char *name, const char *v)
+parseFlagInt(const char *name, const char *v, std::uint64_t min,
+             std::uint64_t max)
 {
-    char *end = nullptr;
-    errno = 0;
-    const std::uint64_t n = std::strtoull(v, &end, 0);
-    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0'
-        || errno == ERANGE || n == 0)
-        fatal("%s wants a positive integer, got '%s'", name, v);
+    bool ok = v[0] != '\0' && (v[0] != '0' || v[1] == '\0');
+    std::uint64_t n = 0;
+    for (const char *c = v; ok && *c != '\0'; ++c) {
+        const unsigned digit = static_cast<unsigned char>(*c) - '0';
+        ok = digit <= 9 && n <= (max - digit) / 10;
+        n = n * 10 + digit;
+    }
+    if (!ok || n < min) {
+        fatal("%s wants an integer in [%llu, %llu], got '%s'", name,
+              static_cast<unsigned long long>(min),
+              static_cast<unsigned long long>(max), v);
+    }
     return n;
 }
-
-} // namespace
 
 CliOptions
 parseCliOptions(int &argc, char **argv)
@@ -47,20 +41,21 @@ parseCliOptions(int &argc, char **argv)
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
         char *arg = argv[i];
-        if (const char *v = matchValue(arg, "--stats-json")) {
+        if (const char *v = flagValue(arg, "--stats-json")) {
             opts.stats_json = v;
-        } else if (const char *v2 = matchValue(arg, "--stats-csv")) {
+        } else if (const char *v2 = flagValue(arg, "--stats-csv")) {
             opts.stats_csv = v2;
-        } else if (const char *v3 = matchValue(arg, "--stats-interval")) {
-            opts.stats_interval = parsePositive("--stats-interval", v3);
-        } else if (const char *v4 = matchValue(arg, "--seed")) {
-            opts.seed = parsePositive("--seed", v4);
-        } else if (const char *v5 = matchValue(arg, "--checkpoint")) {
+        } else if (const char *v3 = flagValue(arg, "--stats-interval")) {
+            opts.stats_interval = parseFlagInt("--stats-interval", v3, 1);
+        } else if (const char *v4 = flagValue(arg, "--seed")) {
+            opts.seed = parseFlagInt("--seed", v4, 1);
+        } else if (const char *v5 = flagValue(arg, "--checkpoint")) {
             opts.checkpoint = v5;
-        } else if (const char *v6 = matchValue(arg, "--restore")) {
+        } else if (const char *v6 = flagValue(arg, "--restore")) {
             opts.restore = v6;
-        } else if (const char *v7 = matchValue(arg, "--checkpoint-every")) {
-            opts.checkpoint_every = parsePositive("--checkpoint-every", v7);
+        } else if (const char *v7 = flagValue(arg, "--checkpoint-every")) {
+            opts.checkpoint_every =
+                parseFlagInt("--checkpoint-every", v7, 1);
         } else if (std::strcmp(arg, "--stats") == 0) {
             opts.stats_text = true;
         } else {

@@ -22,9 +22,9 @@
  *                         uninterrupted one
  *
  * The numeric flags (--seed, --stats-interval, --checkpoint-every)
- * take a positive integer written out in full: decimal, or 0x hex /
- * leading-0 octal as strtoull reads them. Anything else — "1e6",
- * "10k", "-5", an empty value, zero — is a fatal error naming the flag.
+ * take a positive decimal integer written out in full (parseFlagInt).
+ * Anything else — "1e6", "10k", "-5", "0x10", an empty value, zero —
+ * is a fatal error naming the flag.
  *
  * Tracing is configured through the environment (FSOI_TRACE /
  * FSOI_TRACE_FILE), not argv, so it works identically under ctest,
@@ -35,6 +35,7 @@
 #define FSOI_OBS_CLI_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/types.hh"
@@ -64,6 +65,21 @@ struct CliOptions
  * unaffected.
  */
 CliOptions parseCliOptions(int &argc, char **argv);
+
+/** Value of "--name=value" when @p arg is that flag, else nullptr. */
+const char *flagValue(const char *arg, const char *name);
+
+/**
+ * Strict integer value @p v of flag @p name: the whole string is a
+ * decimal integer in [@p min, @p max] — digits only (no sign, space,
+ * suffix or radix prefix), no leading zero (strtoull reads one as
+ * octal), no overflow. Anything else is a fatal error naming the flag,
+ * so "--jobs=-3" or "--checkpoint-every=1e6" cannot mean something
+ * else.
+ */
+std::uint64_t parseFlagInt(
+    const char *name, const char *v, std::uint64_t min,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 } // namespace fsoi::obs
 

@@ -35,6 +35,7 @@ namespace fsoi::sim {
 
 /** Which component kind a calendar entry wakes. */
 enum class WakeKind : std::uint8_t { Mem, Dir, L1, Core };
+inline constexpr std::size_t kWakeKinds = 4;
 
 /**
  * Timing wheel over a power-of-two window of upcoming cycles. Each

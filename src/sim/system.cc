@@ -20,18 +20,13 @@ using noc::PacketClass;
 
 namespace {
 
-/** Set component @p idx's bit in a wake bitmap. */
-inline void
-setWakeBit(std::vector<std::uint64_t> &words, int idx)
-{
-    words[static_cast<std::size_t>(idx) >> 6] |= 1ull << (idx & 63);
-}
-
 /**
  * Visit every set bit (ascending), calling @p fn with the component
  * index; a false return clears the bit (the component went inactive).
- * fn never touches the bitmap it is iterating — component ticks wake
- * only *other* component kinds — so in-place clearing is safe.
+ * fn sets no other bit of the bitmap it is iterating — component ticks
+ * wake only *other* component kinds, and rearm() only re-sets the
+ * visited component's own, already set bit — so in-place clearing is
+ * safe.
  */
 template <typename Fn>
 inline void
@@ -220,8 +215,16 @@ System::System(const SystemConfig &config)
 
     for (int n = 0; n < config_.num_cores; ++n) {
         const NodeId node = static_cast<NodeId>(n);
+        // Every L1 completion is core n's (in-order cores block on
+        // each load, ll and sc); it lands during the L1 phase, so the
+        // wake queues a sleeping core for this cycle's core phase —
+        // exactly the cycle the tick-every-cycle engine re-examined it.
         l1s_.push_back(std::make_unique<coherence::L1Cache>(
-            node, config_.l1, *transport_, funcMem_, home_fn));
+            node, config_.l1, *transport_, funcMem_, home_fn,
+            [this, n](std::uint64_t value, bool success) {
+                cores_[n]->complete(value, success);
+                wake(WakeKind::Core, n);
+            }));
         dirs_.push_back(std::make_unique<coherence::Directory>(
             node, config_.dir, *transport_, funcMem_, memctl_fn));
         cores_.push_back(std::make_unique<cpu::Core>(
@@ -233,20 +236,13 @@ System::System(const SystemConfig &config)
             node, config_.mem, *transport_));
     }
 
-    const auto tile_words =
-        static_cast<std::size_t>((config_.num_cores + 63) / 64);
-    memWake_.assign(
-        static_cast<std::size_t>((config_.num_memctls + 63) / 64), 0);
-    dirWake_.assign(tile_words, 0);
-    l1Wake_.assign(tile_words, 0);
-    coreWake_.assign(tile_words, 0);
-
-    // A sleeping core has no scheduled wake while it waits on a
-    // delivery (completion callback or control bit); the hook queues
-    // it for the core phase of the cycle the delivery lands in —
-    // exactly the cycle the tick-every-cycle engine re-examined it.
-    for (int n = 0; n < config_.num_cores; ++n)
-        cores_[n]->setWakeHook([this, n] { setWakeBit(coreWake_, n); });
+    // One wake bit per component: num_cores of each tile kind (Dir,
+    // L1, Core), num_memctls memory controllers.
+    for (auto &words : wake_)
+        words.assign(static_cast<std::size_t>(config_.num_cores + 63) / 64,
+                     0);
+    wakeBits(WakeKind::Mem)
+        .assign(static_cast<std::size_t>(config_.num_memctls + 63) / 64, 0);
 
     wireNetworkHandlers();
     registerStats();
@@ -422,7 +418,7 @@ System::routeMessage(NodeId dst, const Message &msg)
         const int m = static_cast<int>(dst) - config_.num_cores;
         memctls_[m]->syncClock(sync);
         memctls_[m]->handleMessage(msg);
-        setWakeBit(memWake_, m);
+        wake(WakeKind::Mem, m);
         return;
     }
     switch (msg.type) {
@@ -444,7 +440,7 @@ System::routeMessage(NodeId dst, const Message &msg)
       case MsgType::MemReply:
         dirs_[dst]->syncClock(sync);
         dirs_[dst]->handleMessage(msg);
-        setWakeBit(dirWake_, static_cast<int>(dst));
+        wake(WakeKind::Dir, static_cast<int>(dst));
         return;
       case MsgType::DataS:
       case MsgType::DataE:
@@ -455,7 +451,7 @@ System::routeMessage(NodeId dst, const Message &msg)
       case MsgType::Nack:
         l1s_[dst]->syncClock(sync);
         l1s_[dst]->handleMessage(msg);
-        setWakeBit(l1Wake_, static_cast<int>(dst));
+        wake(WakeKind::L1, static_cast<int>(dst));
         return;
       default:
         panic("unroutable message %s to node %u",
@@ -483,11 +479,16 @@ System::wireNetworkHandlers()
             // during the network tick, before the directory's phase.
             dirs_[node]->syncClock(now_ ? now_ - 1 : 0);
             dirs_[node]->onConfirm(pkt.payloadAs<Message>());
-            setWakeBit(dirWake_, static_cast<int>(node));
+            wake(WakeKind::Dir, static_cast<int>(node));
         });
+        // Wake unconditionally, matching the tick-every-cycle engine:
+        // a spinning core re-examined its subscription values on every
+        // delivery, direct or not, so even a "useless" bit must
+        // trigger a (no-op) tick.
         fsoiNet_->setControlBitHandler(
-            node, [this, node](NodeId, std::uint64_t tag) {
-                cores_[node]->onControlBit(tag);
+            node, [this, n](NodeId, std::uint64_t tag) {
+                cores_[n]->onControlBit(tag);
+                wake(WakeKind::Core, n);
             });
         dirs_[n]->setControlBitSender(
             [this, node](NodeId dst, std::uint64_t tag) {
@@ -598,10 +599,8 @@ System::run()
 void
 System::initScheduler()
 {
-    std::fill(memWake_.begin(), memWake_.end(), 0);
-    std::fill(dirWake_.begin(), dirWake_.end(), 0);
-    std::fill(l1Wake_.begin(), l1Wake_.end(), 0);
-    std::fill(coreWake_.begin(), coreWake_.end(), 0);
+    for (auto &words : wake_)
+        std::fill(words.begin(), words.end(), 0);
     calendar_.reset(startCycle_);
     eventsDispatched_ = 0;
     coresRunning_ = 0;
@@ -622,19 +621,51 @@ System::initScheduler()
     for (int n = 0; n < config_.num_cores; ++n) {
         if (!cores_[n]->done()) {
             ++coresRunning_;
-            setWakeBit(coreWake_, n);
+            wake(WakeKind::Core, n);
         }
         if (dirs_[n]->active())
-            setWakeBit(dirWake_, n);
+            wake(WakeKind::Dir, n);
         if (l1s_[n]->active())
-            setWakeBit(l1Wake_, n);
+            wake(WakeKind::L1, n);
     }
     for (int m = 0; m < config_.num_memctls; ++m) {
         if (memctls_[m]->active())
-            setWakeBit(memWake_, m);
+            wake(WakeKind::Mem, m);
     }
     schedExecuted_ = 0;
     schedSkipped_ = 0;
+}
+
+/**
+ * The re-arm rule is what keeps the calendar exact: a component that
+ * reports now_ + 1 keeps its wake bit (the common back-to-back case
+ * pays no calendar traffic). A woken component that was satisfied
+ * through another path first just no-op-ticks once — a tick at a cycle
+ * with nothing due was what the tick-every-cycle engine did anyway.
+ */
+bool
+System::rearm(WakeKind kind, int idx, Cycle next)
+{
+    if (next == now_ + 1) {
+        wake(kind, idx);
+        return true;
+    }
+    if (next != kNoCycle)
+        calendar_.schedule(next, kind, static_cast<std::uint32_t>(idx));
+    return false;
+}
+
+template <class Component>
+void
+System::tickPhase(WakeKind kind,
+                  std::vector<std::unique_ptr<Component>> &components)
+{
+    forEachWake(wakeBits(kind), [&](int i) {
+        ++eventsDispatched_;
+        Component &c = *components[i];
+        c.tick(now_);
+        return rearm(kind, i, c.nextEventCycle(now_));
+    });
 }
 
 /**
@@ -643,15 +674,7 @@ System::initScheduler()
  * wake bit — woken by a delivery, a matured calendar entry, or their
  * own lingering next-cycle work — are visited at all, so a quiescent
  * tile costs zero, not even a clock refresh (deliveries re-sync on
- * demand; see routeMessage).
- *
- * The re-arm protocol after every tick is what keeps the calendar
- * exact: nextEventCycle(now_) == now_ + 1 keeps the wake bit (the
- * common back-to-back case pays no calendar traffic), a later wake
- * files a calendar entry, kNoCycle means the component sleeps until a
- * delivery sets its bit again. A woken component that was satisfied
- * through another path first just no-op-ticks once — a tick at a cycle
- * with nothing due was what the tick-every-cycle engine did anyway.
+ * demand; see routeMessage). Every tick ends in rearm().
  */
 void
 System::tickComponents(bool prof)
@@ -659,13 +682,7 @@ System::tickComponents(bool prof)
     // Calendar wakes that matured in (last executed cycle, now_]
     // become wake bits for the phases below.
     calendar_.popDue(now_, [this](WakeKind kind, std::uint32_t idx) {
-        const int i = static_cast<int>(idx);
-        switch (kind) {
-          case WakeKind::Mem: setWakeBit(memWake_, i); break;
-          case WakeKind::Dir: setWakeBit(dirWake_, i); break;
-          case WakeKind::L1: setWakeBit(l1Wake_, i); break;
-          case WakeKind::Core: setWakeBit(coreWake_, i); break;
-        }
+        wake(kind, static_cast<int>(idx));
     });
     if (prof)
         profiler_.endPhase(obs::TickPhase::Sched);
@@ -678,78 +695,34 @@ System::tickComponents(bool prof)
     if (prof)
         profiler_.endPhase(obs::TickPhase::LocalRoute);
 
-    forEachWake(memWake_, [this](int m) {
-        ++eventsDispatched_;
-        memctls_[m]->tick(now_);
-        const Cycle next = memctls_[m]->nextEventCycle(now_);
-        if (next == now_ + 1)
-            return true;
-        if (next != kNoCycle)
-            calendar_.schedule(next, WakeKind::Mem,
-                               static_cast<std::uint32_t>(m));
-        return false;
-    });
+    tickPhase(WakeKind::Mem, memctls_);
     if (prof)
         profiler_.endPhase(obs::TickPhase::Memory);
-
-    forEachWake(dirWake_, [this](int n) {
-        ++eventsDispatched_;
-        dirs_[n]->tick(now_);
-        const Cycle next = dirs_[n]->nextEventCycle(now_);
-        if (next == now_ + 1)
-            return true;
-        if (next != kNoCycle)
-            calendar_.schedule(next, WakeKind::Dir,
-                               static_cast<std::uint32_t>(n));
-        return false;
-    });
+    tickPhase(WakeKind::Dir, dirs_);
     if (prof)
         profiler_.endPhase(obs::TickPhase::Directory);
-
-    forEachWake(l1Wake_, [this](int n) {
-        ++eventsDispatched_;
-        l1s_[n]->tick(now_);
-        const Cycle next = l1s_[n]->nextEventCycle(now_);
-        if (next == now_ + 1)
-            return true;
-        if (next != kNoCycle)
-            calendar_.schedule(next, WakeKind::L1,
-                               static_cast<std::uint32_t>(n));
-        return false;
-    });
+    tickPhase(WakeKind::L1, l1s_);
     if (prof)
         profiler_.endPhase(obs::TickPhase::L1);
 
     // Cores tick when woken (issue activity, a matured pause/compute
-    // span, or a delivery through the wake hook). A core drives its L1
+    // span, an L1 completion or a control bit). A core drives its L1
     // synchronously, so the L1's clock must read now_ during the
     // core's tick, and any work the access left behind re-arms the L1
     // for its next phase or a future cycle.
-    forEachWake(coreWake_, [this](int n) {
+    forEachWake(wakeBits(WakeKind::Core), [this](int n) {
         cpu::Core &core = *cores_[n];
         if (core.done())
             return false; // stray wake (late control bit)
         ++eventsDispatched_;
         l1s_[n]->syncClock(now_);
         core.tick(now_);
-        const Cycle l1n = l1s_[n]->nextEventCycle(now_);
-        if (l1n == now_ + 1) {
-            setWakeBit(l1Wake_, n);
-        } else if (l1n != kNoCycle) {
-            calendar_.schedule(l1n, WakeKind::L1,
-                               static_cast<std::uint32_t>(n));
-        }
+        rearm(WakeKind::L1, n, l1s_[n]->nextEventCycle(now_));
         if (core.done()) {
             --coresRunning_;
             return false;
         }
-        const Cycle next = core.nextEventCycle(now_);
-        if (next == now_ + 1)
-            return true;
-        if (next != kNoCycle)
-            calendar_.schedule(next, WakeKind::Core,
-                               static_cast<std::uint32_t>(n));
-        return false;
+        return rearm(WakeKind::Core, n, core.nextEventCycle(now_));
     });
     if (prof)
         profiler_.endPhase(obs::TickPhase::Core);
@@ -805,14 +778,9 @@ Cycle
 System::nextEpoch() const
 {
     std::uint64_t bits = 0;
-    for (const std::uint64_t w : memWake_)
-        bits |= w;
-    for (const std::uint64_t w : dirWake_)
-        bits |= w;
-    for (const std::uint64_t w : l1Wake_)
-        bits |= w;
-    for (const std::uint64_t w : coreWake_)
-        bits |= w;
+    for (const auto &words : wake_)
+        for (const std::uint64_t w : words)
+            bits |= w;
     Cycle next = bits ? now_ + 1 : config_.max_cycles;
     // Local-hop dues are monotone (constant latency FIFO), so the
     // front is the earliest.

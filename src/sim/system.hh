@@ -17,6 +17,7 @@
 #ifndef FSOI_SIM_SYSTEM_HH
 #define FSOI_SIM_SYSTEM_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -27,7 +28,6 @@
 #include "coherence/functional_memory.hh"
 #include "coherence/l1_cache.hh"
 #include "coherence/transport.hh"
-#include "common/pool.hh"
 #include "cpu/core.hh"
 #include "fault/fault_model.hh"
 #include "fsoi/fsoi_network.hh"
@@ -279,6 +279,36 @@ class System
     };
 
     void routeMessage(NodeId dst, const coherence::Message &msg);
+
+    std::vector<std::uint64_t> &
+    wakeBits(WakeKind kind)
+    {
+        return wake_[static_cast<std::size_t>(kind)];
+    }
+
+    /** Queue component @p idx of @p kind for this cycle's phase of its
+     *  kind (or the next cycle's, once that phase has run). The only
+     *  place a component wake bit is set. */
+    void
+    wake(WakeKind kind, int idx)
+    {
+        wakeBits(kind)[static_cast<std::size_t>(idx) >> 6] |=
+            1ull << (idx & 63);
+    }
+
+    /**
+     * The re-arm rule after component (@p kind, @p idx) ticked at
+     * now_, given its nextEventCycle() @p next: now_ + 1 keeps the
+     * wake bit, a later cycle files a calendar entry, kNoCycle sleeps
+     * until a delivery wakes it. Returns whether the bit stays set.
+     */
+    bool rearm(WakeKind kind, int idx, Cycle next);
+
+    /** One controller phase: tick and re-arm every woken component. */
+    template <class Component>
+    void tickPhase(WakeKind kind,
+                   std::vector<std::unique_ptr<Component>> &components);
+
     /** Run every component phase for cycle now_; @p prof brackets
      *  the phases for the self-profiler. */
     void tickComponents(bool prof);
@@ -333,14 +363,11 @@ class System
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::vector<std::unique_ptr<memory::MemoryController>> memctls_;
 
-    // Scheduler state. Each wake bitmap has one bit per component of
-    // its kind (by component number): set = tick in this cycle's
-    // phase. The calendar holds every later wake; the local-hop FIFO
-    // holds same-node messages in send order.
-    std::vector<std::uint64_t> memWake_;
-    std::vector<std::uint64_t> dirWake_;
-    std::vector<std::uint64_t> l1Wake_;
-    std::vector<std::uint64_t> coreWake_;
+    // Scheduler state. One wake bitmap per WakeKind, with one bit per
+    // component of that kind (by component number): set = tick in this
+    // cycle's phase. The calendar holds every later wake; the local-hop
+    // FIFO holds same-node messages in send order.
+    std::array<std::vector<std::uint64_t>, kWakeKinds> wake_;
     EventCalendar calendar_;
     std::deque<LocalMsg> localQueue_;
     int coresRunning_ = 0; //!< cores not yet done

@@ -79,8 +79,7 @@ System::serialize(snapshot::Sections &snap)
     for (int n = 0; n < config_.num_cores; ++n) {
         const std::string id = std::to_string(n);
         snap.io("core" + id, *cores_[n]);
-        snapshot::Archive l1 = snap.open("core" + id + ".l1");
-        l1s_[n]->serialize(l1, cores_[n]->completionCallback());
+        snap.io("core" + id + ".l1", *l1s_[n]);
         snap.io("dir" + id, *dirs_[n]);
     }
     for (int m = 0; m < config_.num_memctls; ++m)

@@ -8,10 +8,9 @@
  * construction-time shape. The same call writes the fields when the
  * Archive wraps a section's Writer and reads them back into the live
  * objects when it wraps a Reader, so save and restore cannot drift
- * apart. What is behaviour rather than data (re-binding callbacks,
- * canonical orders, rebuilding memoized indexes) stays an explicit
- * hook guarded by ar.loading(), and saving never writes to the object
- * being saved.
+ * apart. What is behaviour rather than data (canonical orders,
+ * rebuilding memoized indexes) stays an explicit hook guarded by
+ * ar.loading(), and saving never writes to the object being saved.
  *
  * Each field travels in its natural fixed width: bool and 8-bit enums
  * as one byte, char as u8, the integer types at their own width, double

@@ -299,11 +299,27 @@ TEST(CliOptions, MalformedNumbersDieNamingTheFlag)
 {
     for (const char *flag :
          {"--checkpoint-every", "--stats-interval", "--seed"}) {
-        for (const char *bad : {"1e6", "10k", "-5", "", "0"}) {
+        for (const char *bad :
+             {"1e6", "10k", "-5", "", "0", "+5", " 5", "5 ", "0x10", "010",
+              "18446744073709551616"}) {
             const std::string arg = std::string(flag) + "=" + bad;
             EXPECT_DEATH(parseArgs({arg}, nullptr), flag) << arg;
         }
     }
+}
+
+TEST(CliOptions, FlagIntHonoursItsRange)
+{
+    // --jobs=0 keeps its "host CPUs" meaning where the minimum is 0.
+    EXPECT_EQ(parseFlagInt("--jobs", "0", 0), 0u);
+    EXPECT_EQ(parseFlagInt("--jobs", "12", 0, 64), 12u);
+    EXPECT_EQ(parseFlagInt("--seed", "18446744073709551615", 0),
+              18446744073709551615u);
+    EXPECT_DEATH(parseFlagInt("--jobs", "-3", 0), "--jobs");
+    EXPECT_DEATH(parseFlagInt("--jobs", "abc", 0), "--jobs");
+    EXPECT_DEATH(parseFlagInt("--max-attempts", "0", 1), "--max-attempts");
+    EXPECT_DEATH(parseFlagInt("--cores", "2147483648", 1, 2147483647),
+                 "--cores");
 }
 
 TEST(CliOptions, UnrecognisedArgumentsKeptInOrder)

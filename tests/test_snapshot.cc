@@ -143,6 +143,12 @@ TEST(Snapshot, RestoreThenSaveIsByteIdentical)
         sim::System sys(job.config);
         sys.loadApp(job.app.scaled(job.scale));
         sys.restoreCheckpoint(first);
+        // Misses issued before the capture complete in the restored
+        // run through the L1s' construction-time completion wiring.
+        std::size_t misses = 0;
+        for (int n = 0; n < job.config.num_cores; ++n)
+            misses += sys.l1(static_cast<NodeId>(n)).outstandingMisses();
+        EXPECT_GE(misses, 1u) << "at cycle " << c.at;
         sys.saveCheckpoint(second);
         EXPECT_EQ(bytes, readBytes(second)) << "at cycle " << c.at;
         testsupport::expectSameResult(full, sys.run());

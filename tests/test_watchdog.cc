@@ -134,15 +134,14 @@ TEST(FlightRecorder, NamesStuckMshrInDump)
     obs::FlightRecorder rec(64);
     DropTransport transport;
     coherence::FunctionalMemory memory;
+    bool completed = false;
     coherence::L1Cache l1(/*node=*/3, coherence::L1Config{}, transport,
-                          memory, [](Addr) { return NodeId{7}; });
+                          memory, [](Addr) { return NodeId{7}; },
+                          [&](std::uint64_t, bool) { completed = true; });
     l1.setFlightRecorder(&rec);
 
     const Addr addr = 0x12340;
-    bool completed = false;
-    ASSERT_TRUE(l1.load(addr, [&](std::uint64_t, bool) {
-        completed = true;
-    }));
+    ASSERT_TRUE(l1.load(addr));
     for (Cycle now = 0; now < 100; ++now)
         l1.tick(now);
 

@@ -1,6 +1,6 @@
 #!/bin/sh
-# CI entry point: Release build, full test suite, and the simulator
-# performance gate.
+# CI entry point: Release build, full test suite, benchmark smoke
+# check, and the simulator performance gate.
 #
 #   tools/ci.sh [build-dir]
 #
@@ -26,6 +26,12 @@ cmake --build "$build" -j "$(nproc 2>/dev/null || echo 2)"
 
 echo "== test =="
 ctest --test-dir "$build" --output-on-failure
+
+echo "== benchmark smoke =="
+# Build benchmark/fsoi_bench.cc against the current src/ (its own
+# tree, .bench_build/) and check that untraced and traced digests
+# agree, so a src/ API change that breaks the benchmark fails here.
+python3 "$repo/benchmark/run.py" --smoke
 
 echo "== golden stats gate =="
 # Re-run the instrumented 16-core quickstart config and require its

@@ -23,6 +23,10 @@
  *   --max-attempts=N      quarantine threshold (default 3)
  *   --json=FILE           consolidated report ("-" = stdout)
  *
+ * Integer values are plain decimal (obs::parseFlagInt); a sign, a
+ * suffix or a value below the flag's minimum (1, or 0 for --jobs,
+ * --seed and --warmup) is a fatal flag error.
+ *
  * Warm-start mode (--warmup): a horizon sweep sharing one warmed-up
  * snapshot. All points then use the SAME seed (warmup prefixes must be
  * identical) and point i runs to warmup + (i+1) * horizon cycles:
@@ -38,10 +42,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "obs/cli.hh"
 #include "sim/campaign.hh"
 #include "workload/apps.hh"
 
@@ -49,23 +55,16 @@ using namespace fsoi;
 
 namespace {
 
-const char *
-matchValue(const char *arg, const char *name)
-{
-    const std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=')
-        return arg + n + 1;
-    return nullptr;
-}
+using obs::flagValue;
+using obs::parseFlagInt;
 
-std::uint64_t
-parseU64(const char *flag, const char *v)
+/** An int-valued flag: parseFlagInt capped at INT_MAX. */
+int
+intFlag(const char *name, const char *v, int min)
 {
-    char *end = nullptr;
-    const std::uint64_t n = std::strtoull(v, &end, 0);
-    if (end == v || *end != '\0')
-        fatal("%s wants an integer, got '%s'", flag, v);
-    return n;
+    return static_cast<int>(parseFlagInt(
+        name, v, static_cast<std::uint64_t>(min),
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
 }
 
 sim::NetKind
@@ -103,34 +102,33 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (const char *v = matchValue(arg, "--dir"))
+        if (const char *v = flagValue(arg, "--dir"))
             cc.dir = v;
-        else if (const char *v = matchValue(arg, "--points"))
-            points = static_cast<int>(parseU64("--points", v));
-        else if (const char *v = matchValue(arg, "--app"))
+        else if (const char *v = flagValue(arg, "--points"))
+            points = intFlag("--points", v, 1);
+        else if (const char *v = flagValue(arg, "--app"))
             app_name = v;
-        else if (const char *v = matchValue(arg, "--net"))
+        else if (const char *v = flagValue(arg, "--net"))
             net_name = v;
-        else if (const char *v = matchValue(arg, "--cores"))
-            cores = static_cast<int>(parseU64("--cores", v));
-        else if (const char *v = matchValue(arg, "--seed"))
-            seed = parseU64("--seed", v);
-        else if (const char *v = matchValue(arg, "--scale"))
+        else if (const char *v = flagValue(arg, "--cores"))
+            cores = intFlag("--cores", v, 1);
+        else if (const char *v = flagValue(arg, "--seed"))
+            seed = parseFlagInt("--seed", v, 0);
+        else if (const char *v = flagValue(arg, "--scale"))
             scale = std::atof(v);
-        else if (const char *v = matchValue(arg, "--jobs"))
-            cc.jobs = static_cast<int>(parseU64("--jobs", v));
-        else if (const char *v = matchValue(arg, "--checkpoint-every"))
-            cc.checkpoint_every = parseU64("--checkpoint-every", v);
-        else if (const char *v = matchValue(arg, "--max-attempts"))
-            cc.max_attempts =
-                static_cast<int>(parseU64("--max-attempts", v));
-        else if (const char *v = matchValue(arg, "--warmup"))
-            cc.warmup_cycles = parseU64("--warmup", v);
-        else if (const char *v = matchValue(arg, "--horizon"))
-            horizon = parseU64("--horizon", v);
+        else if (const char *v = flagValue(arg, "--jobs"))
+            cc.jobs = intFlag("--jobs", v, 0);
+        else if (const char *v = flagValue(arg, "--checkpoint-every"))
+            cc.checkpoint_every = parseFlagInt("--checkpoint-every", v, 1);
+        else if (const char *v = flagValue(arg, "--max-attempts"))
+            cc.max_attempts = intFlag("--max-attempts", v, 1);
+        else if (const char *v = flagValue(arg, "--warmup"))
+            cc.warmup_cycles = parseFlagInt("--warmup", v, 0);
+        else if (const char *v = flagValue(arg, "--horizon"))
+            horizon = parseFlagInt("--horizon", v, 1);
         else if (std::strcmp(arg, "--no-warm-reuse") == 0)
             warm_reuse = false;
-        else if (const char *v = matchValue(arg, "--json"))
+        else if (const char *v = flagValue(arg, "--json"))
             json_path = v;
         else
             fatal("unknown argument '%s' (see the file header for "
@@ -139,8 +137,6 @@ main(int argc, char **argv)
     if (cc.dir.empty())
         fatal("sweep_campaign needs --dir=DIR for its journal and "
               "checkpoints");
-    if (points < 1)
-        fatal("--points wants at least 1");
 
     const workload::AppProfile app = workload::appByName(app_name);
     const sim::NetKind net = parseNet(net_name);
