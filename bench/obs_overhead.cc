@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "bench_util.hh"
@@ -57,14 +58,18 @@ main(int argc, char **argv)
     int reps = 3;
     int rounds = 3;
     int keep = 1;
+    constexpr auto kIntMax =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max());
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if (arg.rfind("--max=", 0) == 0)
             max_pct = std::atof(arg.data() + 6);
-        else if (arg.rfind("--reps=", 0) == 0)
-            reps = std::max(1, std::atoi(arg.data() + 7));
-        else if (arg.rfind("--rounds=", 0) == 0)
-            rounds = std::max(1, std::atoi(arg.data() + 9));
+        else if (const char *v = obs::flagValue(argv[i], "--reps"))
+            reps = static_cast<int>(
+                obs::parseFlagInt("--reps", v, 1, kIntMax));
+        else if (const char *v = obs::flagValue(argv[i], "--rounds"))
+            rounds = static_cast<int>(
+                obs::parseFlagInt("--rounds", v, 1, kIntMax));
         else
             argv[keep++] = argv[i];
     }

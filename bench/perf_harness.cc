@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -198,14 +199,18 @@ main(int argc, char **argv)
     int reps = 3;
     std::string json_path, check_path;
     double tolerance = 0.10;
+    constexpr auto kIntMax =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max());
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if (arg == "--quick")
             quick = true;
-        else if (arg.rfind("--jobs=", 0) == 0)
-            jobs = std::atoi(arg.data() + 7);
-        else if (arg.rfind("--reps=", 0) == 0)
-            reps = std::max(1, std::atoi(arg.data() + 7));
+        else if (const char *v = obs::flagValue(argv[i], "--jobs"))
+            jobs = static_cast<int>(
+                obs::parseFlagInt("--jobs", v, 0, kIntMax));
+        else if (const char *v = obs::flagValue(argv[i], "--reps"))
+            reps = static_cast<int>(
+                obs::parseFlagInt("--reps", v, 1, kIntMax));
         else if (arg.rfind("--json=", 0) == 0)
             json_path = std::string(arg.substr(7));
         else if (arg.rfind("--check=", 0) == 0)

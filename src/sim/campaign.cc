@@ -312,8 +312,11 @@ CampaignRunner::runPoint(const CampaignPoint &point, int attempt)
     out.result = sys.run();
 
     journal_->appendDone(point.name, out.result);
+    // Done; the journal is the record. A save cut short by a kill in
+    // an earlier attempt leaves its temp file too.
     std::error_code ec;
-    std::filesystem::remove(ckpt, ec); // done; the journal is the record
+    std::filesystem::remove(ckpt, ec);
+    std::filesystem::remove(ckpt + ".tmp", ec);
     return out;
 }
 

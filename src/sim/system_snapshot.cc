@@ -98,12 +98,12 @@ System::serialize(snapshot::Sections &snap)
 void
 System::saveCheckpoint(const std::string &path) const
 {
-    snapshot::SnapshotWriter out;
+    snapshot::SnapshotWriter out(path);
     snapshot::Sections snap(out);
     // Saving only reads: serialize() is shared with restore, hence not
     // const, but never writes to the state it saves.
     const_cast<System *>(this)->serialize(snap);
-    out.writeFile(path);
+    out.commit();
 }
 
 void

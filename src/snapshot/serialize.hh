@@ -51,13 +51,21 @@ class Archive
 
     bool loading() const { return reader_.has_value(); }
 
-    void io(bool &v) { prim(v, &Writer::boolean, &Reader::boolean); }
-    void io(std::uint8_t &v) { prim(v, &Writer::u8, &Reader::u8); }
-    void io(std::uint16_t &v) { prim(v, &Writer::u16, &Reader::u16); }
-    void io(std::uint32_t &v) { prim(v, &Writer::u32, &Reader::u32); }
-    void io(std::uint64_t &v) { prim(v, &Writer::u64, &Reader::u64); }
-    void io(std::int32_t &v) { prim(v, &Writer::i32, &Reader::i32); }
-    void io(double &v) { prim(v, &Writer::dbl, &Reader::dbl); }
+    void
+    io(bool &v)
+    {
+        if (writer_)
+            writer_->boolean(v);
+        else
+            v = reader_->boolean();
+    }
+
+    void io(std::uint8_t &v) { prim(v); }
+    void io(std::uint16_t &v) { prim(v); }
+    void io(std::uint32_t &v) { prim(v); }
+    void io(std::uint64_t &v) { prim(v); }
+    void io(std::int32_t &v) { prim(v); }
+    void io(double &v) { prim(v); }
 
     void
     io(char &v)
@@ -208,14 +216,15 @@ class Archive
     }
 
   private:
+    /** A value at its own width (Writer::put / Reader::get). */
     template <class T>
     void
-    prim(T &v, void (Writer::*put)(T), T (Reader::*get)())
+    prim(T &v)
     {
         if (writer_)
-            (writer_->*put)(v);
+            writer_->put(v);
         else
-            v = (*reader_.*get)();
+            v = reader_->get<T>();
     }
 
     Writer *writer_ = nullptr;
@@ -230,7 +239,8 @@ class Sections
     explicit Sections(const SnapshotReader &snap) : reader_(&snap) {}
 
     /** Section @p name: appended when writing (sections keep their
-     *  open order), its verified payload when reading. */
+     *  open order, and a section's Archive may be written only until
+     *  the next section opens), its verified payload when reading. */
     Archive
     open(const std::string &name) const
     {

@@ -82,7 +82,8 @@ echo "== crash-resume gate =="
 # both journal replay (finished points) and checkpoint restore (the
 # in-flight point). If the campaign finishes before the kill lands,
 # the resume degenerates to pure journal replay, which must still
-# reproduce the report exactly.
+# reproduce the report exactly. Afterwards the campaign directory must
+# hold only the journal.
 camp_args="--points=4 --app=fft --scale=0.3 --checkpoint-every=10000 \
     --seed=42"
 rm -rf "$build/ci_camp_full" "$build/ci_camp_kill"
@@ -108,6 +109,13 @@ rm -f "$build/ci_camp_kill.json"
     $camp_args --json="$build/ci_camp_kill.json" 2> /dev/null
 cmp "$build/ci_camp_full.json" "$build/ci_camp_kill.json"
 echo "  resumed report byte-identical"
+# Finished points remove their checkpoints, including a temp file the
+# kill may have cut short mid-save: only the journal stays.
+left=$(ls -A "$build/ci_camp_kill")
+if [ "$left" != "campaign.jsonl" ]; then
+    echo "  campaign directory holds more than the journal:" $left >&2
+    exit 1
+fi
 
 echo "== telemetry overhead gate =="
 # The observability layer (flight recorder + self-profiler + link
