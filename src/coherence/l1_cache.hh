@@ -176,7 +176,6 @@ class L1Cache
     L1State lineState(Addr addr) const;
 
     std::size_t outstandingMisses() const { return mshrs_.size(); }
-    bool linkValid() const { return linkValid_; }
 
     /** Print outstanding state to stderr (watchdog diagnostics). */
     void debugDump() const;

@@ -73,14 +73,6 @@ class NetworkStats
     const Accumulator &scheduling() const { return scheduling_; }
     const Accumulator &network() const { return network_; }
     const Accumulator &collisionResolution() const { return collision_; }
-    const Accumulator &latencyOf(PacketClass cls) const
-    { return perClass_[index(cls)]; }
-
-    /** End-to-end latency distributions (all packets / per class). */
-    const Histogram &latencyHistogram() const { return latencyHistAll_; }
-    const Histogram &latencyHistogramOf(PacketClass cls) const
-    { return latencyHist_[index(cls)]; }
-
     /** Interpolated end-to-end latency percentile, p in [0, 1]. */
     double latencyPercentile(double p) const
     { return latencyHistAll_.percentile(p); }

@@ -84,7 +84,6 @@ class FlightRecorder
     bool enabled() const { return !ring_.empty(); }
     std::size_t capacity() const { return ring_.size(); }
     std::uint64_t recorded() const { return recorded_; }
-    std::size_t inflightCount() const { return inflightCount_; }
 
     /** Record one event. Call sites guard with enabled(). */
     void

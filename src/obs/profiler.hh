@@ -1,16 +1,16 @@
 /**
  * @file
  * Self-profiler: attributes host wall time to the simulator's tick
- * phases (network, local routing, memory, directory, L1, core) so a
- * slow run can say *which component* is slow without an external
- * profiler.
+ * phases (network, local routing, memory, directory, L1, core, and the
+ * scheduler's own bookkeeping) so a slow run can say *which component*
+ * is slow without an external profiler.
  *
  * Timing every cycle would double the cost of the cheap phases, so the
  * profiler samples: every `stride` cycles (a power of two; the check
  * is one mask-and-compare) the loop brackets each phase with a
  * steady_clock read and the elapsed nanoseconds accumulate per phase.
- * With the default stride of 64 the overhead is a few clock reads per
- * 64 cycles — well under a percent — while the per-phase *fractions*
+ * With the default stride of 256 the overhead is a few clock reads per
+ * 256 cycles — well under a percent — while the per-phase *fractions*
  * converge quickly because the sampled cycles are an unbiased slice of
  * the run.
  *
@@ -63,9 +63,6 @@ class PhaseProfiler
     /** @p stride sampling period in cycles; power of two; 0 disables. */
     explicit PhaseProfiler(Cycle stride);
 
-    bool enabled() const { return stride_ != 0; }
-    Cycle stride() const { return stride_; }
-
     /** Is @p now a sampled cycle? One mask-and-compare when enabled. */
     bool
     due(Cycle now) const
@@ -96,9 +93,6 @@ class PhaseProfiler
         mark_ = now;
     }
 
-    std::uint64_t sampledCycles() const { return sampled_cycles_; }
-    std::uint64_t ns(TickPhase phase) const
-    { return ns_[static_cast<int>(phase)]; }
     std::uint64_t totalNs() const;
 
     /** Share of sampled wall time spent in @p phase, in [0, 1]. */

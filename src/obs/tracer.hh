@@ -24,14 +24,14 @@
  * run on sweep worker threads. Construction (and the one-time
  * environment parse it performs) is race-free via the C++11
  * magic-static in instance(). All mutating entry points -- record()
- * via instant()/complete(), configure(), setCapacity(),
- * setOutputPath(), reset() -- and the buffer readers (snapshot(),
- * writeChromeTrace(), flush()) serialize on an internal mutex. The
- * hot-path gate enabled() stays lock-free: it only loads levels_,
- * which is written before worker threads exist (environment parse) or
- * under the mutex (tests reconfiguring a quiesced tracer). The inline
- * counters recorded()/dropped()/capacity() are unlocked convenience
- * reads; treat them as approximate while worker threads are tracing.
+ * via instant()/complete(), configure(), setCapacity(), reset() --
+ * and the buffer readers (snapshot(), writeChromeTrace(), flush())
+ * serialize on an internal mutex. The hot-path gate enabled() stays
+ * lock-free: it only loads levels_, which is written before worker
+ * threads exist (environment parse) or under the mutex (tests
+ * reconfiguring a quiesced tracer). The inline counters
+ * recorded()/dropped()/capacity() are unlocked convenience reads;
+ * treat them as approximate while worker threads are tracing.
  */
 
 #ifndef FSOI_OBS_TRACER_HH
@@ -86,7 +86,6 @@ class Tracer
         return level <= levels_[static_cast<int>(cat)];
     }
 
-    bool anyEnabled() const { return any_; }
     int level(TraceCat cat) const
     { return levels_[static_cast<int>(cat)]; }
 
@@ -112,15 +111,6 @@ class Tracer
     void setCapacity(std::size_t events);
     std::size_t capacity() const { return ring_.size(); }
 
-    /** Output path for flush(); empty disables file writing. */
-    void
-    setOutputPath(std::string path)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        path_ = std::move(path);
-    }
-    const std::string &outputPath() const { return path_; }
-
     std::uint64_t recorded() const { return recorded_; }
     std::uint64_t dropped() const
     { return recorded_ <= ring_.size() ? 0 : recorded_ - ring_.size(); }
@@ -131,7 +121,8 @@ class Tracer
     /** Emit the Chrome trace_event JSON document. */
     void writeChromeTrace(std::ostream &os) const;
 
-    /** Write to outputPath() when tracing is on; called at exit. */
+    /** Write to the FSOI_TRACE_FILE path when tracing is on; called
+     *  at exit. */
     void flush() const;
 
     /**

@@ -1,5 +1,6 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -8,10 +9,13 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
+#include "obs/stat_registry.hh"
 
 namespace fsoi::sim {
 
@@ -64,17 +68,19 @@ bitsDouble(std::uint64_t bits)
     return v;
 }
 
-std::string
-jsonEscape(const std::string &s)
+/**
+ * Is @p s made only of the POSIX portable filename characters
+ * [A-Za-z0-9._-]? Point names and warm families become file names and
+ * journal keys, and such a name is a safe path component that JSON
+ * escaping leaves unchanged.
+ */
+bool
+portableName(std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
+    return std::all_of(s.begin(), s.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+               (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    });
 }
 
 /**
@@ -91,7 +97,9 @@ findRaw(const std::string &line, const char *key, std::string &out)
         return false;
     std::size_t i = at + pat.size();
     if (i < line.size() && line[i] == '"') {
-        // Quoted string; unescape the two characters jsonEscape emits.
+        // Quoted string; undo obs::jsonEscape's backslash escapes.
+        // Names are portable and diagnoses printable, so none of its
+        // control-character escapes can reach the journal.
         std::string s;
         for (++i; i < line.size() && line[i] != '"'; ++i) {
             if (line[i] == '\\' && i + 1 < line.size())
@@ -208,7 +216,7 @@ struct CampaignRunner::Journal
         forEachField(r, [&](const char *name, const auto &v) {
             rec += std::string(",\"") + name + "\":";
             if constexpr (kIs<decltype(v), std::string>)
-                rec += "\"" + jsonEscape(v) + "\"";
+                rec += "\"" + obs::jsonEscape(v) + "\"";
             else if constexpr (kIs<decltype(v), double>)
                 rec += std::to_string(doubleBits(v));
             else
@@ -323,8 +331,22 @@ CampaignRunner::runPoint(const CampaignPoint &point, int attempt)
 std::vector<CampaignOutcome>
 CampaignRunner::run(std::vector<CampaignPoint> points)
 {
-    for (const CampaignPoint &p : points)
+    // A repeated name would share one journal key and checkpoint file
+    // (a resume replays one point's result for both), and a name the
+    // journal would have to escape is never replayed.
+    std::unordered_set<std::string_view> names;
+    for (const CampaignPoint &p : points) {
         FSOI_ASSERT(!p.name.empty(), "campaign points need names");
+        FSOI_ASSERT(portableName(p.name),
+                    "campaign point '%s': names take only [A-Za-z0-9._-]",
+                    p.name.c_str());
+        FSOI_ASSERT(portableName(p.warm_family),
+                    "campaign point '%s': warm family '%s' takes only "
+                    "[A-Za-z0-9._-]", p.name.c_str(),
+                    p.warm_family.c_str());
+        FSOI_ASSERT(names.insert(p.name).second,
+                    "campaign point '%s' is named twice", p.name.c_str());
+    }
 
     // Decide every point's fate from the journal before any new work
     // runs, then post the live runs through a SweepRunner (inline at
@@ -394,12 +416,12 @@ CampaignRunner::writeJson(std::ostream &os,
         // No attempt counts here: they are resume metadata (kept in
         // the journal), and printing them would break the byte-for-
         // byte equality of resumed vs uninterrupted reports.
-        os << "    {\"name\": \"" << jsonEscape(o.name) << "\""
+        os << "    {\"name\": \"" << obs::jsonEscape(o.name) << "\""
            << ", \"quarantined\": " << (o.quarantined ? "true" : "false");
         forEachField(o.result, [&](const char *name, const auto &v) {
             os << ", \"" << name << "\": ";
             if constexpr (kIs<decltype(v), std::string>)
-                os << "\"" << jsonEscape(v) << "\"";
+                os << "\"" << obs::jsonEscape(v) << "\"";
             else if constexpr (kIs<decltype(v), double>)
                 os << dbl(v);
             else if constexpr (kIs<decltype(v), bool>)

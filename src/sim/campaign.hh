@@ -36,13 +36,16 @@ namespace fsoi::sim {
 /** One named, resumable point of a campaign. */
 struct CampaignPoint
 {
-    std::string name; //!< unique and filesystem-safe (used in paths)
+    /** Unique within the campaign, and only [A-Za-z0-9._-]: it names
+     *  the point's checkpoint file and journal records. run() dies on
+     *  a name that breaks either rule. */
+    std::string name;
     SweepJob job;
     /**
      * Non-empty = share a post-warmup snapshot with every point of the
      * same family. Family members must be identical up to the warmup
      * cycle (same config, app, seed); differing runtime horizons
-     * (max_cycles) are the intended use.
+     * (max_cycles) are the intended use. Same character set as name.
      */
     std::string warm_family;
 };

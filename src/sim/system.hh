@@ -185,7 +185,6 @@ class System
     coherence::Directory &directory(NodeId node) { return *dirs_.at(node); }
     cpu::Core &core(NodeId node) { return *cores_.at(node); }
     memory::MemoryController &memctl(int i) { return *memctls_.at(i); }
-    fsoi::FsoiNetwork *fsoiNetwork() { return fsoiNet_; }
     noc::MeshNetwork *meshNetwork() { return meshNet_; }
     fault::FaultInjector *faultInjector() { return fault_.get(); }
     const noc::MeshLayout &layout() const { return layout_; }
@@ -225,9 +224,6 @@ class System
     obs::FlightRecorder &flightRecorder() { return flightRec_; }
     const obs::FlightRecorder &flightRecorder() const
     { return flightRec_; }
-
-    /** Host-time attribution across the tick phases. */
-    const obs::PhaseProfiler &profiler() const { return profiler_; }
 
     // --- checkpoint/restore (snapshot/) ---
 

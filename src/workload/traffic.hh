@@ -2,8 +2,8 @@
  * @file
  * Network-only synthetic traffic: drive an interconnect directly with
  * classic NoC patterns, without the coherence stack. Used by the
- * Figure 3 experimental points, the microbenchmarks, and anywhere a
- * controlled offered load is needed (e.g. saturation studies).
+ * benchmark's per-network probes (benchmark/fsoi_bench.cc) and anywhere
+ * a controlled offered load is needed (e.g. saturation studies).
  */
 
 #ifndef FSOI_WORKLOAD_TRAFFIC_HH

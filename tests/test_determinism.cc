@@ -196,6 +196,35 @@ TEST(Determinism, KeepSystemMatchesPlainRun)
     testsupport::expectSameResult(a, outcome.result);
 }
 
+TEST(Determinism, PerfMatrixCycleCounts)
+{
+    // Exact cycle counts of a fixed 16-core matrix at a quarter of the
+    // paper's scale: busy mesh and FSOI points plus an idle-heavy FSOI
+    // point, where the event calendar skips most cycles. A change to
+    // any nextEventCycle() contract or to the timing model moves them.
+    struct Expect
+    {
+        sim::NetKind kind;
+        const char *app;
+        Cycle cycles;
+    };
+    const Expect expected[] = {
+        {sim::NetKind::Mesh, "fft", 141632},
+        {sim::NetKind::Mesh, "radix", 138656},
+        {sim::NetKind::Fsoi, "fft", 119168},
+        {sim::NetKind::Fsoi, "radix", 116928},
+        {sim::NetKind::Fsoi, "idle", 114688},
+    };
+    for (const auto &e : expected) {
+        auto job = point(e.kind, e.app, 7);
+        job.scale = 0.25;
+        const auto r = sim::SweepRunner::runJob(job, false).result;
+        EXPECT_TRUE(r.completed) << e.app;
+        EXPECT_EQ(r.cycles, e.cycles)
+            << e.app << " on " << sim::netKindName(e.kind);
+    }
+}
+
 TEST(Determinism, ResolveJobsNeverZero)
 {
     EXPECT_GE(common::resolveJobs(0), 1);

@@ -613,5 +613,48 @@ TEST(Campaign, ParallelJobsMatchSerial)
     EXPECT_EQ(serial, runWith(4, tmpPath("camp_j4")));
 }
 
+TEST(Campaign, DuplicatePointNamesDie)
+{
+    // Two horizons under one name would share a journal key: a resumed
+    // campaign would replay the second point's result for both.
+    const std::string dir = tmpPath("camp_dup");
+    std::filesystem::remove_all(dir);
+    std::vector<sim::CampaignPoint> points{campaignPoint("p", 3),
+                                           campaignPoint("p", 3)};
+    points[0].job.config.max_cycles = 2000;
+    points[1].job.config.max_cycles = 4000;
+    sim::CampaignConfig cc;
+    cc.dir = dir;
+    EXPECT_DEATH(sim::CampaignRunner(cc).run(points),
+                 "campaign point 'p' is named twice");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Campaign, UnsafePointNamesDie)
+{
+    // A quote would be escaped in the journal and never replayed; a
+    // slash or space does not belong in a checkpoint file name.
+    const std::string dir = tmpPath("camp_unsafe");
+    std::filesystem::remove_all(dir);
+    sim::CampaignConfig cc;
+    cc.dir = dir;
+    for (const char *name : {"a\"b", "x/y", "a b", "p\\0"})
+        EXPECT_DEATH(sim::CampaignRunner(cc).run({campaignPoint(name, 3)}),
+                     "names take only")
+            << name;
+    auto family = campaignPoint("p0", 3);
+    family.warm_family = "f/0";
+    EXPECT_DEATH(sim::CampaignRunner(cc).run({family}),
+                 "warm family 'f/0' takes only");
+    // The whole portable set is accepted.
+    cc.warmup_cycles = 1000;
+    auto ok = campaignPoint("Az09._-", 3);
+    ok.warm_family = "f-0.A_z";
+    const auto outcomes = sim::CampaignRunner(cc).run({ok});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].result.completed);
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
 } // namespace fsoi
