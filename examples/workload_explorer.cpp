@@ -36,20 +36,8 @@ int
 main(int argc, char **argv)
 {
     const obs::CliOptions obs_opts = obs::parseCliOptions(argc, argv);
-    sim::NetKind kind = sim::NetKind::Fsoi;
-    if (argc > 1) {
-        const std::string arg = argv[1];
-        if (arg == "mesh")
-            kind = sim::NetKind::Mesh;
-        else if (arg == "l0")
-            kind = sim::NetKind::L0;
-        else if (arg == "lr1")
-            kind = sim::NetKind::Lr1;
-        else if (arg == "lr2")
-            kind = sim::NetKind::Lr2;
-        else if (arg != "fsoi")
-            fatal("unknown network '%s'", arg.c_str());
-    }
+    const sim::NetKind kind =
+        argc > 1 ? sim::netKindByName(argv[1]) : sim::NetKind::Fsoi;
     const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
 
     std::printf("workload explorer: 16 cores, %s interconnect, "

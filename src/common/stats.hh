@@ -63,7 +63,6 @@ class Accumulator
     }
 
     std::uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
     double mean() const { return n_ ? sum_ / n_ : 0.0; }
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
@@ -194,16 +193,6 @@ class Histogram
     Accumulator acc_;
     std::vector<std::uint64_t> bins_;
 };
-
-/** Named scalar for stat dumps. */
-struct StatValue
-{
-    std::string name;
-    double value;
-};
-
-/** Ordered list of named stats a component reports. */
-using StatDump = std::vector<StatValue>;
 
 /** Geometric mean of a list of ratios (ignores non-positive entries). */
 double geometricMean(const std::vector<double> &xs);

@@ -88,15 +88,6 @@ FsoiNetwork::transmissionProbability(PacketClass cls) const
         / (static_cast<double>(slots) * numEndpoints());
 }
 
-std::uint64_t
-FsoiNetwork::dataCollisionEventsTotal() const
-{
-    std::uint64_t total = 0;
-    for (const auto &c : dataCollisionEvents_)
-        total += c.value();
-    return total;
-}
-
 void
 FsoiNetwork::registerStats(const obs::Scope &scope) const
 {

@@ -180,7 +180,6 @@ class FsoiNetwork : public noc::Network
     {
         return dataCollisionEvents_[static_cast<int>(cat)].value();
     }
-    std::uint64_t dataCollisionEventsTotal() const;
 
     /** Mean cycles from first collided tx to successful tx (data). */
     double meanDataResolutionDelay() const

@@ -131,11 +131,6 @@ class MeshNetwork : public Network
     /** True when every router pair still has a live route. */
     bool fullyConnected() const;
 
-    /** Flits that crossed router @p router's link in @p direction
-     *  (0=east, 1=west, 2=north, 3=south); 0 for absent edge links. */
-    std::uint64_t linkFlits(int router, int direction) const
-    { return linkFlits_[router][direction].value(); }
-
     /**
      * Write the congestion snapshot the flight recorder embeds in its
      * "context" object: one JSON value describing every router holding

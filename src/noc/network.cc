@@ -81,29 +81,6 @@ NetworkStats::registerStats(const obs::Scope &scope) const
 }
 
 void
-NetworkStats::reset()
-{
-    for (auto &c : deliveredCount_)
-        c.reset();
-    for (auto &c : collisions_)
-        c.reset();
-    for (auto &c : attempts_)
-        c.reset();
-    for (auto &c : collisionsByKind_)
-        c.reset();
-    total_.reset();
-    queuing_.reset();
-    scheduling_.reset();
-    network_.reset();
-    collision_.reset();
-    perClass_[0].reset();
-    perClass_[1].reset();
-    latencyHistAll_.reset();
-    latencyHist_[0].reset();
-    latencyHist_[1].reset();
-}
-
-void
 NetworkStats::serialize(snapshot::Archive &ar)
 {
     ar(deliveredCount_, collisions_, attempts_, collisionsByKind_, total_,

@@ -55,8 +55,6 @@ class NetworkStats
     { return delivered(PacketClass::Meta) + delivered(PacketClass::Data); }
     std::uint64_t collisions(PacketClass cls) const
     { return collisions_[index(cls)].value(); }
-    std::uint64_t collisionsOfKind(PacketKind kind) const
-    { return collisionsByKind_[static_cast<int>(kind)].value(); }
     std::uint64_t attempts(PacketClass cls) const
     { return attempts_[index(cls)].value(); }
 
@@ -79,8 +77,6 @@ class NetworkStats
 
     /** Publish every stat under @p scope (delivered.*, latency.*, ...). */
     void registerStats(const obs::Scope &scope) const;
-
-    void reset();
 
     /** Checkpoint/restore (snapshot/serialize.hh). */
     void serialize(snapshot::Archive &ar);
@@ -128,9 +124,6 @@ class RetxStats
     void recordDeadChannelLoss() { deadChannelLosses_++; }
 
     std::uint64_t packets() const { return packets_.value(); }
-    std::uint64_t crcDrops() const { return crcDrops_.value(); }
-    std::uint64_t deadChannelLosses() const
-    { return deadChannelLosses_.value(); }
 
     /** Publish under @p scope (packets / crc_drops / dead_losses). */
     void

@@ -59,7 +59,6 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
             rounded *= 2;
         ring_.resize(rounded);
         mask_ = rounded - 1;
-        slots_.resize(1024);
         registerRecorder(this);
     }
 }
@@ -68,67 +67,6 @@ FlightRecorder::~FlightRecorder()
 {
     if (enabled())
         unregisterRecorder(this);
-}
-
-void
-FlightRecorder::tableInsert(Key key, Inflight info)
-{
-    if ((inflightCount_ + 1) * 2 > slots_.size())
-        tableGrow();
-    std::size_t i = slotOf(key);
-    while (slots_[i].used) {
-        if (slots_[i].key == key) {
-            slots_[i].info = info; // protocol retry refreshes the entry
-            return;
-        }
-        i = (i + 1) & (slots_.size() - 1);
-    }
-    slots_[i] = TableSlot{key, info, true};
-    ++inflightCount_;
-}
-
-void
-FlightRecorder::tableErase(Key key)
-{
-    const std::size_t smask = slots_.size() - 1;
-    std::size_t i = slotOf(key);
-    while (true) {
-        if (!slots_[i].used)
-            return; // unmatched end (e.g. recorder attached mid-run)
-        if (slots_[i].key == key)
-            break;
-        i = (i + 1) & smask;
-    }
-    --inflightCount_;
-    // Backward-shift deletion keeps probe chains tombstone-free: pull
-    // each displaced successor back over the hole until a gap or a
-    // slot already at its home position ends the chain.
-    std::size_t j = i;
-    while (true) {
-        slots_[i].used = false;
-        std::size_t home;
-        do {
-            j = (j + 1) & smask;
-            if (!slots_[j].used)
-                return;
-            home = slotOf(slots_[j].key);
-        } while (i <= j ? (i < home && home <= j)
-                        : (i < home || home <= j));
-        slots_[i] = slots_[j];
-        i = j;
-    }
-}
-
-void
-FlightRecorder::tableGrow()
-{
-    std::vector<TableSlot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, TableSlot{});
-    inflightCount_ = 0;
-    for (const TableSlot &slot : old) {
-        if (slot.used)
-            tableInsert(slot.key, slot.info);
-    }
 }
 
 std::uint8_t
@@ -151,8 +89,8 @@ FlightRecorder::beginTransaction(FlightEventKind kind, Cycle cycle,
     if (!enabled())
         return;
     record(kind, cycle, node, kInvalidNode, line, detail);
-    tableInsert(packKey(keyClass(kind), node, line),
-                Inflight{cycle, detail});
+    // A protocol retry re-registers: the entry is refreshed.
+    inflight_[packKey(keyClass(kind), node, line)] = Inflight{cycle, detail};
 }
 
 void
@@ -163,7 +101,8 @@ FlightRecorder::endTransaction(FlightEventKind kind, Cycle cycle,
     if (!enabled())
         return;
     record(kind, cycle, node, kInvalidNode, line, detail);
-    tableErase(packKey(keyClass(kind), node, line));
+    // An unmatched end (e.g. recorder attached mid-run) erases nothing.
+    inflight_.erase(packKey(keyClass(kind), node, line));
 }
 
 void
@@ -202,11 +141,7 @@ FlightRecorder::dumpJson(std::ostream &os, const char *reason,
     }
     os << "],\"inflight\":[";
     bool sep = false;
-    for (const TableSlot &slot : slots_) {
-        if (!slot.used)
-            continue;
-        const Key key = slot.key;
-        const Inflight &txn = slot.info;
+    for (const auto &[key, txn] : inflight_) {
         const std::uint8_t cls = key & 1;
         const auto node = static_cast<NodeId>((key >> 1) & 0xFF);
         const Addr line = static_cast<Addr>(key >> 9);

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -147,26 +148,12 @@ class FlightRecorder
     };
 
     /**
-     * The transaction table sits on the protocol hot path (one
-     * insert/erase per miss and per directory transaction), so the
-     * composite key is packed into one integer -- line address shifted
-     * over a node byte and a class bit; simulated line addresses are
-     * far below 2^55, so the pack is collision-free -- and the table
-     * itself is open-addressed with linear probing and backward-shift
-     * deletion: no allocation and no node chasing per operation, just
-     * a multiplicative hash and a short probe in a flat array. Live
-     * entries are bounded by protocol resources (MSHRs + directory
-     * transactions), so the table stays sparse; it doubles in the
-     * unexpected case it ever fills past half.
+     * The in-flight table's key: the (class, node, line) triple packed
+     * into one integer -- line address shifted over a node byte and a
+     * class bit; simulated line addresses are far below 2^55, so the
+     * pack is collision-free.
      */
     using Key = std::uint64_t;
-
-    struct TableSlot
-    {
-        Key key = 0;
-        Inflight info;
-        bool used = false;
-    };
 
     static Key
     packKey(std::uint8_t cls, NodeId node, Addr line)
@@ -176,28 +163,13 @@ class FlightRecorder
             | (cls & 1);
     }
 
-    std::size_t
-    slotOf(Key key) const
-    {
-        // Fibonacci hashing: spread the (structured) packed key across
-        // the table's index bits with one multiply.
-        return static_cast<std::size_t>(
-                   (key * 0x9E3779B97F4A7C15ULL) >> 32)
-            & (slots_.size() - 1);
-    }
-
-    void tableInsert(Key key, Inflight info);
-    void tableErase(Key key);
-    void tableGrow();
-
     static std::uint8_t keyClass(FlightEventKind kind);
     void writeEventJson(std::ostream &os, const FlightEvent &e) const;
 
     std::vector<FlightEvent> ring_;
     std::uint64_t recorded_ = 0;
     std::uint64_t mask_ = 0; //!< ring_.size() - 1 (size is a power of 2)
-    std::vector<TableSlot> slots_; //!< power-of-two open-addressed table
-    std::size_t inflightCount_ = 0;
+    std::unordered_map<Key, Inflight> inflight_;
     Cycle lastCycle_ = 0; //!< newest cycle seen (for crash dumps)
     DetailNamer namer_;
     ContextWriter context_;

@@ -71,7 +71,6 @@ IntervalSampler::writeRecord(Cycle now)
         os_ << "}}\n";
     }
     lastSampled_ = now;
-    ++samples_;
 }
 
 } // namespace fsoi::obs

@@ -37,7 +37,6 @@ class IntervalSampler
 
     Cycle interval() const { return interval_; }
     Cycle nextDue() const { return next_; }
-    std::uint64_t samplesTaken() const { return samples_; }
 
     /** Emit one record stamped @p now and advance the deadline. */
     void sample(Cycle now);
@@ -58,7 +57,6 @@ class IntervalSampler
     Format format_;
     std::vector<std::string> names_; //!< cached scalar layout
     std::vector<double> values_;     //!< reused per sample
-    std::uint64_t samples_ = 0;
     Cycle lastSampled_ = kNoCycle;
 };
 

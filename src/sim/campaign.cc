@@ -1,6 +1,7 @@
 #include "sim/campaign.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "obs/json_reader.hh"
 #include "obs/stat_registry.hh"
 
 namespace fsoi::sim {
@@ -22,15 +24,15 @@ namespace fsoi::sim {
 namespace {
 
 /**
- * The RunResult fields a campaign journals and reports, as (name,
- * member) pairs in report order -- the one list both the journal codec
- * and writeJson() walk. The diagnosis is last: it is the only string,
- * and a done record truncated by a crash then always fails to parse
- * (see Journal::load). @p R is RunResult, const or not.
+ * The RunResult fields the consolidated report prints, as (name,
+ * member) pairs in report order. The report's bytes are its contract
+ * (resumed and uninterrupted campaigns must match, and benchmarks hash
+ * it), so it keeps this list; the journal records every member
+ * through sim::forEachField. @p R is RunResult, const or not.
  */
 template <class R, class Fn>
 void
-forEachField(R &r, Fn &&fn)
+forEachReportField(R &r, Fn &&fn)
 {
     fn("completed", r.completed);
     fn("cycles", r.cycles);
@@ -83,52 +85,56 @@ portableName(std::string_view s)
     });
 }
 
-/**
- * Minimal field extraction for the journal's own rigid JSONL output.
- * Returns false when @p key is absent — which also covers a final
- * line truncated by the crash that the resume is recovering from.
- */
+/** A journal record's leaves by name: each leaf's kind, with a
+ *  string's decoded value or a number's raw token. */
+using Record =
+    std::map<std::string, std::pair<obs::json::Kind, std::string>,
+             std::less<>>;
+
+/** @p line as one whole JSON document; a line cut short by a crash
+ *  is not one. */
 bool
-findRaw(const std::string &line, const char *key, std::string &out)
+parseRecord(std::string_view line, Record &rec)
 {
-    const std::string pat = std::string("\"") + key + "\":";
-    const std::size_t at = line.find(pat);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + pat.size();
-    if (i < line.size() && line[i] == '"') {
-        // Quoted string; undo obs::jsonEscape's backslash escapes.
-        // Names are portable and diagnoses printable, so none of its
-        // control-character escapes can reach the journal.
-        std::string s;
-        for (++i; i < line.size() && line[i] != '"'; ++i) {
-            if (line[i] == '\\' && i + 1 < line.size())
-                ++i;
-            s.push_back(line[i]);
-        }
-        if (i >= line.size())
-            return false; // truncated mid-string
-        out = std::move(s);
-        return true;
-    }
-    std::size_t end = i;
-    while (end < line.size() && line[end] != ',' && line[end] != '}')
-        ++end;
-    if (end == line.size())
-        return false; // truncated mid-number
-    out = line.substr(i, end - i);
-    return true;
+    using obs::json::Kind;
+    return obs::json::Reader(line).whole([&](const obs::json::Leaf &l) {
+        rec[std::string(l.path)] = {
+            l.kind, std::string(l.kind == Kind::String ? l.str : l.raw)};
+    });
 }
 
+/**
+ * Field @p name of @p rec into @p v: a string for a string member, and
+ * for every other member a decimal u64 -- a double's IEEE-754 bit
+ * pattern, or the integer or bool itself. False when the field is
+ * absent or malformed.
+ */
+template <class T>
 bool
-findU64(const std::string &line, const char *key, std::uint64_t &out)
+readField(const Record &rec, std::string_view name, T &v)
 {
-    std::string raw;
-    if (!findRaw(line, key, raw) || raw.empty())
+    const auto it = rec.find(name);
+    if (it == rec.end())
         return false;
-    char *end = nullptr;
-    out = std::strtoull(raw.c_str(), &end, 10);
-    return end && *end == '\0';
+    const auto &[kind, text] = it->second;
+    if constexpr (kIs<T, std::string>) {
+        if (kind != obs::json::Kind::String)
+            return false;
+        v = text;
+        return true;
+    } else {
+        std::uint64_t raw = 0;
+        const char *end = text.data() + text.size();
+        const auto [at, ec] = std::from_chars(text.data(), end, raw);
+        if (kind != obs::json::Kind::Number || ec != std::errc()
+            || at != end)
+            return false;
+        if constexpr (kIs<T, double>)
+            v = bitsDouble(raw);
+        else
+            v = static_cast<T>(raw);
+        return true;
+    }
 }
 
 } // namespace
@@ -163,34 +169,28 @@ struct CampaignRunner::Journal
         std::ifstream in(path);
         std::string line;
         while (std::getline(in, line)) {
+            // A record counts only when it parses whole: a line cut
+            // short by a crash is skipped, and a done record missing
+            // any RunResult member reruns its point.
+            Record rec;
             std::string event, point;
-            if (!findRaw(line, "event", event) ||
-                !findRaw(line, "point", point))
+            if (!parseRecord(line, rec) || !readField(rec, "event", event)
+                || !readField(rec, "point", point))
                 continue;
             PointState &ps = state[point];
             if (event == "start") {
                 std::uint64_t attempt = 0;
-                if (findU64(line, "attempt", attempt))
+                if (readField(rec, "attempt", attempt))
                     ps.attempts = std::max(static_cast<int>(attempt),
                                            ps.attempts);
             } else if (event == "done") {
-                // A done record is only trusted when it parses whole;
-                // the string field is last, so a truncated line fails
-                // one of these lookups and the point reruns instead.
                 RunResult r;
                 bool whole = true;
-                forEachField(r, [&](const char *name, auto &v) {
-                    using T = std::remove_reference_t<decltype(v)>;
-                    std::uint64_t raw = 0;
-                    if constexpr (kIs<T, std::string>)
-                        whole = whole && findRaw(line, name, v);
-                    else if ((whole = whole && findU64(line, name, raw))) {
-                        if constexpr (kIs<T, double>)
-                            v = bitsDouble(raw);
-                        else
-                            v = static_cast<T>(raw);
-                    }
-                });
+                forEachField(
+                    [&](const char *name, auto &v) {
+                        whole = whole && readField(rec, name, v);
+                    },
+                    r);
                 if (whole) {
                     ps.done = true;
                     ps.result = std::move(r);
@@ -207,21 +207,23 @@ struct CampaignRunner::Journal
         std::fflush(fp);
     }
 
-    /** Doubles travel as their IEEE-754 bit patterns, so a record
-     *  read back reproduces the value exactly -- what makes a resumed
-     *  campaign's report byte-identical to an uninterrupted one's. */
+    /** Every RunResult member, doubles as their IEEE-754 bit
+     *  patterns, so a record read back is the result exactly: a
+     *  resumed campaign's outcomes are the uninterrupted one's. */
     void appendDone(const std::string &point, const RunResult &r)
     {
         std::string rec = "{\"event\":\"done\",\"point\":\"" + point + "\"";
-        forEachField(r, [&](const char *name, const auto &v) {
-            rec += std::string(",\"") + name + "\":";
-            if constexpr (kIs<decltype(v), std::string>)
-                rec += "\"" + obs::jsonEscape(v) + "\"";
-            else if constexpr (kIs<decltype(v), double>)
-                rec += std::to_string(doubleBits(v));
-            else
-                rec += std::to_string(v);
-        });
+        forEachField(
+            [&](const char *name, const auto &v) {
+                rec += std::string(",\"") + name + "\":";
+                if constexpr (kIs<decltype(v), std::string>)
+                    rec += "\"" + obs::jsonEscape(v) + "\"";
+                else if constexpr (kIs<decltype(v), double>)
+                    rec += std::to_string(doubleBits(v));
+                else
+                    rec += std::to_string(v);
+            },
+            r);
         rec += "}\n";
         std::lock_guard<std::mutex> lock(mu);
         std::fputs(rec.c_str(), fp);
@@ -418,7 +420,7 @@ CampaignRunner::writeJson(std::ostream &os,
         // byte equality of resumed vs uninterrupted reports.
         os << "    {\"name\": \"" << obs::jsonEscape(o.name) << "\""
            << ", \"quarantined\": " << (o.quarantined ? "true" : "false");
-        forEachField(o.result, [&](const char *name, const auto &v) {
+        forEachReportField(o.result, [&](const char *name, const auto &v) {
             os << ", \"" << name << "\": ";
             if constexpr (kIs<decltype(v), std::string>)
                 os << "\"" << obs::jsonEscape(v) << "\"";

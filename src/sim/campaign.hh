@@ -5,15 +5,18 @@
  * A campaign is an ordered list of named sweep points executed inside a
  * campaign directory. Progress is journaled to an append-only JSONL
  * manifest (`campaign.jsonl`): one `start` record per attempt, one
- * `done` record per finished point carrying its result with doubles as
- * IEEE-754 bit patterns, so a resumed campaign reproduces the
- * consolidated report byte for byte. Each in-flight point also writes
- * periodic hash-verified checkpoints (`<point>.ckpt`), so a campaign
- * killed mid-run resumes with the same command line: completed points
- * are replayed from the journal, the in-flight point restores its
- * checkpoint and continues bit-identically, and a point that keeps
- * crashing is quarantined after max_attempts instead of wedging the
- * campaign forever.
+ * `done` record per finished point carrying every RunResult member
+ * (sim::forEachField) with doubles as IEEE-754 bit patterns, so a
+ * replayed point returns exactly what its live run returned and a
+ * resumed campaign reproduces the consolidated report byte for byte.
+ * The journal is read back through obs/json_reader.hh, and a record
+ * counts only when its line parses whole. Each in-flight point also
+ * writes periodic hash-verified checkpoints (`<point>.ckpt`), so a
+ * campaign killed mid-run resumes with the same command line:
+ * completed points are replayed from the journal, the in-flight point
+ * restores its checkpoint and continues bit-identically, and a point
+ * that keeps crashing is quarantined after max_attempts instead of
+ * wedging the campaign forever.
  *
  * Warm-state reuse: points that share a warm family (identical config,
  * application and seed — the snapshot config fingerprint enforces it)

@@ -23,7 +23,7 @@ namespace fsoi::sim {
 /** Per-event energies and static powers. */
 struct EnergyParams
 {
-    double freq_hz = 3.3e9;
+    double freq_hz = 3.3e9; //!< the system clock (System derives GHz)
 
     // Core + cache dynamic energy.
     double core_active_pj = 3600.0; //!< per busy core cycle (4-wide OoO)

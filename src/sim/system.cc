@@ -70,6 +70,22 @@ netKindName(NetKind kind)
     return "?";
 }
 
+NetKind
+netKindByName(const std::string &name)
+{
+    if (name == "mesh")
+        return NetKind::Mesh;
+    if (name == "l0")
+        return NetKind::L0;
+    if (name == "lr1")
+        return NetKind::Lr1;
+    if (name == "lr2")
+        return NetKind::Lr2;
+    if (name == "fsoi")
+        return NetKind::Fsoi;
+    fatal("unknown network '%s'", name.c_str());
+}
+
 SystemConfig
 SystemConfig::paperConfig(int cores, NetKind kind)
 {
@@ -141,9 +157,10 @@ System::System(const SystemConfig &config)
       flightRec_(config.flight_recorder_events),
       profiler_(config.profile_stride)
 {
-    // Derive dependent parameters.
+    // Derive dependent parameters. freq_hz / 1e9 is exactly 3.3 at
+    // the default clock (freq_hz * 1e-9 is not).
     config_.mem.bytes_per_cycle = config_.mem_gbytes_per_sec
-        / config_.num_memctls / config_.freq_ghz;
+        / config_.num_memctls / (config_.energy.freq_hz / 1e9);
 
     const bool is_fsoi = config_.network == NetKind::Fsoi;
     if (!is_fsoi
@@ -317,13 +334,7 @@ System::registerStats()
 
     // The interconnect publishes under its kind so FSOI-only series
     // (fsoi.collisions.data, ...) keep stable names across configs.
-    const char *net_scope = "net";
-    switch (config_.network) {
-      case NetKind::Mesh: net_scope = "mesh"; break;
-      case NetKind::Fsoi: net_scope = "fsoi"; break;
-      default: break;
-    }
-    network_->registerStats(root.scope(net_scope));
+    network_->registerStats(root.scope(netSectionPrefix()));
 
     if (fault_)
         fault_->registerStats(root.scope("fault"));

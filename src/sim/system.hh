@@ -22,6 +22,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "coherence/directory.hh"
@@ -52,6 +53,10 @@ enum class NetKind : std::uint8_t { Mesh, L0, Lr1, Lr2, Fsoi };
 
 const char *netKindName(NetKind kind);
 
+/** The interconnect a command line names: mesh, l0, lr1, lr2 or fsoi;
+ *  any other name is fatal ("unknown network 'NAME'"). */
+NetKind netKindByName(const std::string &name);
+
 /** Full system configuration. */
 struct SystemConfig
 {
@@ -72,10 +77,11 @@ struct SystemConfig
     coherence::DirConfig dir;
     memory::MemConfig mem;          //!< bytes_per_cycle derived below
     cpu::CoreConfig core;
-    EnergyParams energy;
+    EnergyParams energy;            //!< energy.freq_hz is the one clock
 
-    double mem_gbytes_per_sec = 8.8; //!< aggregate off-chip bandwidth
-    double freq_ghz = 3.3;
+    /** Aggregate off-chip bandwidth; per memory controller and clock
+     *  cycle it becomes mem.bytes_per_cycle. */
+    double mem_gbytes_per_sec = 8.8;
 
     /** FSOI Section 5.1: confirmations substitute invalidation acks. */
     bool opt_confirmation_ack = false;
@@ -157,6 +163,58 @@ struct RunResult
      */
     std::string fault_diagnosis;
 };
+
+/**
+ * Every RunResult member as a (name, member) entry, in declaration
+ * order, with each EnergyReport component and each collision category
+ * as its own entry: the one full list of RunResult's members. Calls
+ * fn(name, r.member...) once per entry with that member of each of
+ * @p r, so one walk writes, reads or compares results (the campaign
+ * journal, tests/run_result_eq.hh). A member added to RunResult
+ * belongs here.
+ */
+template <class Fn, class... R>
+void
+forEachField(Fn &&fn, R &...r)
+{
+    static_assert(
+        std::extent_v<decltype(RunResult::data_collisions_by_cat)> == 5,
+        "one entry per collision category below");
+    fn("completed", r.completed...);
+    fn("cycles", r.cycles...);
+    fn("instructions", r.instructions...);
+    fn("ipc", r.ipc...);
+    fn("avg_packet_latency", r.avg_packet_latency...);
+    fn("queuing", r.queuing...);
+    fn("scheduling", r.scheduling...);
+    fn("network", r.network...);
+    fn("collision_resolution", r.collision_resolution...);
+    fn("packets_delivered", r.packets_delivered...);
+    fn("meta_collision_rate", r.meta_collision_rate...);
+    fn("data_collision_rate", r.data_collision_rate...);
+    fn("meta_tx_probability", r.meta_tx_probability...);
+    fn("data_collisions_by_cat.0", r.data_collisions_by_cat[0]...);
+    fn("data_collisions_by_cat.1", r.data_collisions_by_cat[1]...);
+    fn("data_collisions_by_cat.2", r.data_collisions_by_cat[2]...);
+    fn("data_collisions_by_cat.3", r.data_collisions_by_cat[3]...);
+    fn("data_collisions_by_cat.4", r.data_collisions_by_cat[4]...);
+    fn("data_resolution_delay", r.data_resolution_delay...);
+    fn("l1_miss_rate", r.l1_miss_rate...);
+    fn("invalidations", r.invalidations...);
+    fn("sync_packets", r.sync_packets...);
+    fn("control_bits", r.control_bits...);
+    fn("energy.core_j", r.energy.core_j...);
+    fn("energy.cache_j", r.energy.cache_j...);
+    fn("energy.memory_j", r.energy.memory_j...);
+    fn("energy.network_j", r.energy.network_j...);
+    fn("energy.leakage_j", r.energy.leakage_j...);
+    fn("avg_power_w", r.avg_power_w...);
+    fn("retransmissions", r.retransmissions...);
+    fn("fault_bit_errors", r.fault_bit_errors...);
+    fn("blacklisted_channels", r.blacklisted_channels...);
+    fn("unroutable_drops", r.unroutable_drops...);
+    fn("fault_diagnosis", r.fault_diagnosis...);
+}
 
 /** A fully assembled simulated CMP. */
 class System
@@ -337,8 +395,8 @@ class System
     void registerStats();
     bool quiescent() const;
     RunResult collectResult(Cycle cycles, bool completed) const;
-    /** Section-name prefix the interconnect snapshots under (matches
-     *  its stats scope: "mesh", "fsoi", or "net"). */
+    /** The interconnect's stats scope and snapshot section prefix:
+     *  "mesh", "fsoi", or "net". */
     const char *netSectionPrefix() const;
 
     SystemConfig config_;

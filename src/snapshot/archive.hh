@@ -21,15 +21,17 @@
  * so restored state (and the hashes over it) is bit-exact.
  *
  * Everything here is header-only and depends on the standard library
- * (plus POSIX fstat, and Linux fallocate where present) alone: simulator components serialize through
- * Writer/Reader (via snapshot/serialize.hh's Archive), while offline
- * tools (stats_report --snapshot) can parse the container without
- * linking any simulator code.
+ * (plus POSIX open/fstat/mmap, and Linux fallocate where present)
+ * alone: simulator components serialize through Writer/Reader (via
+ * snapshot/serialize.hh's Archive), while offline tools
+ * (stats_report --snapshot) can parse the container without linking
+ * any simulator code.
  *
  * A checkpoint is held in memory at most once. SnapshotWriter streams
  * sections to the file through a small window of buffers, hashing each
- * once; SnapshotReader reads the whole file with one read and verifies
- * it before any section is opened.
+ * once; SnapshotReader maps the whole file read-only and verifies it
+ * before any section is opened, so a restore copies no file bytes into
+ * the heap.
  *
  * Compatibility policy: the format version is bumped on ANY layout
  * change, and restore refuses other versions outright. Snapshots are
@@ -47,6 +49,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -56,7 +59,9 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 namespace fsoi::snapshot {
 
@@ -402,7 +407,8 @@ class SnapshotWriter
 
 /** Parses and verifies a snapshot; the root hash and then every
  *  section's hash are checked up front, so consumers never read
- *  corrupt bytes. */
+ *  corrupt bytes. Move-only: it owns its bytes or its file mapping,
+ *  and the Readers it opens view them. */
 class SnapshotReader
 {
   public:
@@ -414,33 +420,42 @@ class SnapshotReader
         std::size_t offset; //!< payload offset within the file
     };
 
+    /** A snapshot held in memory (the corruption tests' input). */
     explicit SnapshotReader(std::vector<std::uint8_t> bytes)
-        : bytes_(std::move(bytes))
+        : owned_(std::move(bytes)), bytes_(owned_)
     {
         parse();
     }
 
+    /**
+     * A checkpoint file, mapped read-only: its pages are the page
+     * cache's, so no copy lands in the heap (where glibc's adaptive
+     * mmap threshold could keep a freed 4.5 MB image resident). The
+     * mapping lives as long as the reader and survives an unlink of
+     * the file. Checkpoints are replaced by temp + rename and never
+     * truncated in place, so it cannot shrink under a reader.
+     */
     static SnapshotReader
     fromFile(const std::string &path)
     {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f)
+        const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (fd < 0)
             throw SnapshotError("snapshot.io: cannot open " + path);
-        // One read, sized by fstat. Anything but a regular file (e.g. a
-        // directory, which opens fine) is an I/O error, not a
-        // malformed snapshot.
+        // Anything but a regular file (e.g. a directory, which opens
+        // fine) is an I/O error, not a malformed snapshot. An empty
+        // file is not mapped (mmap rejects length 0); parse() names it
+        // truncated.
         struct stat st {};
-        const bool regular =
-            ::fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode);
-        std::vector<std::uint8_t> bytes(
-            regular ? static_cast<std::size_t>(st.st_size) : 0);
-        const bool ok = regular
-                        && std::fread(bytes.data(), 1, bytes.size(), f)
-                               == bytes.size();
-        std::fclose(f);
-        if (!ok)
+        const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+        const std::size_t size =
+            regular ? static_cast<std::size_t>(st.st_size) : 0;
+        void *map = size == 0 ? nullptr
+                              : ::mmap(nullptr, size, PROT_READ,
+                                       MAP_PRIVATE, fd, 0);
+        ::close(fd);
+        if (!regular || map == MAP_FAILED)
             throw SnapshotError("snapshot.io: cannot read " + path);
-        return SnapshotReader(std::move(bytes));
+        return SnapshotReader(Mapping(map, Unmap{size}));
     }
 
     std::uint32_t version() const { return version_; }
@@ -468,6 +483,21 @@ class SnapshotReader
     }
 
   private:
+    struct Unmap
+    {
+        std::size_t size;
+        void operator()(void *p) const { ::munmap(p, size); }
+    };
+    using Mapping = std::unique_ptr<void, Unmap>;
+
+    explicit SnapshotReader(Mapping map)
+        : map_(std::move(map)),
+          bytes_(static_cast<const std::uint8_t *>(map_.get()),
+                 map_.get_deleter().size)
+    {
+        parse();
+    }
+
     void
     parse()
     {
@@ -505,7 +535,7 @@ class SnapshotReader
             info.size = sec.u64();
             info.hash = sec.u64();
             pos += 2 + name_len + 16;
-            if (pos + info.size > bytes_.size())
+            if (info.size > bytes_.size() - pos)
                 throw SnapshotError("snapshot.truncated: " + info.name);
             info.offset = pos;
             pos += static_cast<std::size_t>(info.size);
@@ -536,7 +566,9 @@ class SnapshotReader
         }
     }
 
-    std::vector<std::uint8_t> bytes_;
+    std::vector<std::uint8_t> owned_; //!< in-memory input, or empty
+    Mapping map_;                     //!< mapped file, or null
+    std::span<const std::uint8_t> bytes_; //!< views one of the two
     std::uint32_t version_ = 0;
     std::uint64_t root_ = 0;
     std::vector<SectionInfo> sections_;

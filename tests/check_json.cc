@@ -1,15 +1,16 @@
 /**
  * @file
- * JSON validator CLI used by the observability smoke test: parses each
- * input file as either one JSON document or, with --lines, as
- * JSON-lines (one document per non-empty line). Exits non-zero with a
- * message on the first malformed document, so ctest can assert that
- * the files the simulator emits actually parse.
+ * JSON validator CLI used by the observability smoke test and the
+ * crash-resume CI gate: parses each input file as either one JSON
+ * document or, with --lines, as JSON-lines (one document per non-empty
+ * line). Exits non-zero with a message on the first malformed
+ * document, so ctest can assert that the files the simulator emits
+ * actually parse.
  *
  *   check_json [--lines] FILE...
  *
- * The parser itself lives in json_validator.hh so unit tests can
- * validate generated documents in-process.
+ * The parser is the project's one JSON reader (obs/json_reader.hh,
+ * header-only), so this links nothing.
  */
 
 #include <cstdio>
@@ -18,15 +19,17 @@
 #include <sstream>
 #include <string>
 
-#include "json_validator.hh"
+#include "obs/json_reader.hh"
 
 namespace {
 
 bool
 checkDocument(const std::string &text, const char *what)
 {
-    fsoi::testsupport::JsonParser p(text, /*report=*/true);
-    if (!p.document()) {
+    fsoi::obs::json::Reader reader(text);
+    if (!reader.whole([](const fsoi::obs::json::Leaf &) {})) {
+        std::fprintf(stderr, "JSON error at offset %zu: %s\n",
+                     reader.offset(), reader.error());
         std::fprintf(stderr, "  while parsing %s\n", what);
         return false;
     }

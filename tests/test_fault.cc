@@ -28,11 +28,11 @@
 
 #include "analytic/backoff_model.hh"
 #include "fault/fault_model.hh"
+#include "obs/json_reader.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/system.hh"
 #include "workload/apps.hh"
 
-#include "json_validator.hh"
 #include "run_result_eq.hh"
 
 namespace fsoi {
@@ -215,7 +215,7 @@ TEST(FaultInjector, FaultContextJsonIsValid)
     std::ostringstream os;
     inj.writeJson(os);
     const std::string json = os.str();
-    EXPECT_TRUE(testsupport::jsonValid(json)) << json;
+    EXPECT_TRUE(obs::json::valid(json)) << json;
     EXPECT_NE(json.find("\"dead_tx\":[{\"node\":0,\"class\":\"meta\"}]"),
               std::string::npos)
         << json;
@@ -363,7 +363,7 @@ TEST(FaultSystem, WedgedTxLaneDiagnosedAndNamedInFlightDump)
     outcome.system->flightRecorder().dumpJson(os, "test:wedged-tx",
                                               outcome.result.cycles);
     const std::string dump = os.str();
-    EXPECT_TRUE(testsupport::jsonValid(dump)) << dump;
+    EXPECT_TRUE(obs::json::valid(dump)) << dump;
     EXPECT_NE(
         dump.find("\"dead_tx\":[{\"node\":0,\"class\":\"meta\"}]"),
         std::string::npos)
@@ -391,7 +391,7 @@ TEST(FaultSystem, FaultStatsPublishedInRegistry)
     std::ostringstream os;
     outcome.system->writeStatsJson(os);
     const std::string json = os.str();
-    EXPECT_TRUE(testsupport::jsonValid(json)) << json.substr(0, 400);
+    EXPECT_TRUE(obs::json::valid(json)) << json.substr(0, 400);
     EXPECT_NE(json.find("\"fault\""), std::string::npos);
     EXPECT_NE(json.find("\"bit_errors\""), std::string::npos);
     EXPECT_NE(json.find("\"retx\""), std::string::npos);

@@ -1,17 +1,19 @@
 /**
  * @file
  * Unit tests for the observability layer: stat registry naming and
- * writers, interval sampler record layout, the tracer ring buffer, and
- * the shared command-line flag parser.
+ * writers, interval sampler record layout, the tracer ring buffer, the
+ * shared command-line flag parser, and the JSON reader.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/cli.hh"
+#include "obs/json_reader.hh"
 #include "obs/sampler.hh"
 #include "obs/stat_registry.hh"
 #include "obs/tracer.hh"
@@ -333,6 +335,126 @@ TEST(CliOptions, UnrecognisedArgumentsKeptInOrder)
     EXPECT_EQ(rest,
               (std::vector<std::string>{"fft", "16", "--jobs=4",
                                         "--other"}));
+}
+
+/** Every leaf of one document as "path=raw" (strings: "path=\"str\""),
+ *  or the failure as "error@offset: what". */
+std::vector<std::string>
+leavesOf(json::Reader &reader)
+{
+    std::vector<std::string> out;
+    const bool ok = reader.document([&](const json::Leaf &leaf) {
+        out.push_back(std::string(leaf.path) + "="
+                      + (leaf.kind == json::Kind::String
+                             ? "\"" + std::string(leaf.str) + "\""
+                             : std::string(leaf.raw)));
+    });
+    if (!ok)
+        out.push_back("error@" + std::to_string(reader.offset()) + ": "
+                      + reader.error());
+    return out;
+}
+
+TEST(JsonReader, FlattensNestedObjectsAndArrays)
+{
+    json::Reader reader(
+        R"({"a":{"b":[5,{"c":6}],"d":"x"},"e":[],"f":{},"g":[[1],[2,3]]})");
+    EXPECT_EQ(leavesOf(reader),
+              (std::vector<std::string>{"a.b.0=5", "a.b.1.c=6", "a.d=\"x\"",
+                                        "g.0.0=1", "g.1.0=2", "g.1.1=3"}));
+    EXPECT_TRUE(reader.atEnd());
+}
+
+TEST(JsonReader, LeafKinds)
+{
+    std::vector<std::pair<json::Kind, std::string>> seen;
+    json::Reader reader(
+        R"({"n":-1.5e3,"i":0,"s":"t","t":true,"f":false,"z":null})");
+    ASSERT_TRUE(reader.whole([&](const json::Leaf &leaf) {
+        seen.emplace_back(leaf.kind, std::string(leaf.raw));
+    }));
+    using json::Kind;
+    EXPECT_EQ(seen,
+              (std::vector<std::pair<Kind, std::string>>{
+                  {Kind::Number, "-1.5e3"}, {Kind::Number, "0"},
+                  {Kind::String, "\"t\""}, {Kind::Bool, "true"},
+                  {Kind::Bool, "false"}, {Kind::Null, "null"}}));
+    // A scalar document is one leaf with an empty path.
+    json::Reader scalar(" 42 ");
+    EXPECT_EQ(leavesOf(scalar), std::vector<std::string>{"=42"});
+}
+
+TEST(JsonReader, ConcatenatedDocumentsReadInTurn)
+{
+    // Stats files append one document per run; the reader takes them
+    // one after the other from where the last one ended.
+    json::Reader reader("{\"a\":1} {\"a\":2}\n{\"b\":[3]}{\"c\":4}\n");
+    EXPECT_EQ(leavesOf(reader), std::vector<std::string>{"a=1"});
+    EXPECT_EQ(leavesOf(reader), std::vector<std::string>{"a=2"});
+    EXPECT_EQ(leavesOf(reader), std::vector<std::string>{"b.0=3"});
+    EXPECT_FALSE(reader.atEnd());
+    EXPECT_EQ(leavesOf(reader), std::vector<std::string>{"c=4"});
+    EXPECT_TRUE(reader.atEnd());
+}
+
+TEST(JsonReader, LargeIntegerKeptExactly)
+{
+    // 2^64 - 1 is no double: the raw token carries every digit.
+    json::Reader reader(R"({"u":18446744073709551615})");
+    EXPECT_EQ(leavesOf(reader),
+              std::vector<std::string>{"u=18446744073709551615"});
+}
+
+TEST(JsonReader, EscapesDecoded)
+{
+    std::string key, value;
+    ASSERT_TRUE(json::Reader(R"({"k\u0041":"q\"b\\s\/n\nt\tr\r\b\f)"
+                             R"(\u00e9\u20ac\ud83d\ude00"})")
+                    .whole([&](const json::Leaf &leaf) {
+                        key = leaf.path;
+                        value = leaf.str;
+                    }));
+    EXPECT_EQ(key, "kA");
+    EXPECT_EQ(value, "q\"b\\s/n\nt\tr\r\b\f"
+                     "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+    EXPECT_TRUE(json::valid(R"(["\u0000"])"));
+}
+
+TEST(JsonReader, MalformedInputNamesTheByte)
+{
+    const struct
+    {
+        const char *text;
+        std::size_t offset;
+        const char *error;
+    } cases[] = {
+        {R"({"a":"xyz)", 9, "unterminated string"},
+        {R"(["\u12g4"])", 6, "bad \\u escape"},
+        {R"(["\x"])", 3, "bad escape"},
+        {R"({"a" 1})", 5, "expected ':'"},
+        {R"({"a":1} x)", 8, "trailing content"},
+        {"", 0, "unexpected end of input"},
+        {" \n ", 3, "unexpected end of input"},
+        {R"({"a":1,})", 7, "expected object key"},
+        {R"({"a":1 "b":2})", 7, "expected ',' or '}'"},
+        {"[1,]", 3, "expected a value"},
+        {"[1 2]", 3, "expected ',' or ']'"},
+        {"[01]", 2, "expected ',' or ']'"},
+        {"[1.]", 3, "expected a digit"},
+        {"[nul]", 1, "expected a value"},
+        {"[NaN]", 1, "expected a value"},
+        {"[\"a\tb\"]", 3, "control character in string"},
+    };
+    for (const auto &c : cases) {
+        json::Reader reader(c.text);
+        EXPECT_FALSE(reader.whole([](const json::Leaf &) {})) << c.text;
+        EXPECT_EQ(reader.offset(), c.offset) << c.text;
+        EXPECT_STREQ(reader.error(), c.error) << c.text;
+        EXPECT_FALSE(json::valid(c.text)) << c.text;
+    }
+    // Nesting past the reader's depth limit fails instead of
+    // exhausting the stack.
+    EXPECT_FALSE(json::valid(std::string(100000, '[')));
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "sim/campaign.hh"
 #include "sim/sweep_runner.hh"
 #include "snapshot/archive.hh"
+#include "snapshot/serialize.hh"
 #include "workload/apps.hh"
 
 #include "run_result_eq.hh"
@@ -295,6 +296,61 @@ TEST(Snapshot, TruncatedFileNamesTheSection)
     EXPECT_EQ(diagnosis(12), "snapshot.truncated: header");
     EXPECT_EQ(diagnosis(24 + 1), "snapshot.truncated: section table");
     EXPECT_EQ(diagnosis(24 + 2 + 3), "snapshot.truncated: section table");
+
+    // A section size past the end of the file is truncation however
+    // large it is: the bounds check must not wrap around.
+    auto forged = bytes;
+    const std::size_t name_len = forged[24] | forged[25] << 8;
+    std::fill_n(forged.begin() + 26 + name_len, 8, 0xFF);
+    try {
+        snapshot::SnapshotReader snap(std::move(forged));
+        FAIL() << "section of 2^64 - 1 bytes parsed";
+    } catch (const snapshot::SnapshotError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "snapshot.truncated: "
+                      + std::string(bytes.begin() + 26,
+                                    bytes.begin() + 26 + name_len));
+    }
+
+    // An empty file, which fromFile() cannot map, is truncation too.
+    const std::string empty = tmpPath("empty.ckpt");
+    std::ofstream(empty).close();
+    try {
+        (void)snapshot::SnapshotReader::fromFile(empty);
+        FAIL() << "empty file parsed";
+    } catch (const snapshot::SnapshotError &e) {
+        EXPECT_EQ(std::string(e.what()), "snapshot.truncated: header");
+    }
+    std::filesystem::remove(empty);
+}
+
+TEST(Snapshot, MappedReaderOutlivesItsFile)
+{
+    // fromFile() maps the checkpoint; unlinking the file afterwards
+    // (as a campaign's next periodic save replaces it) must leave the
+    // reader's sections readable and the restore exact.
+    const auto job = point(sim::NetKind::Fsoi, "fft", 3);
+    const auto full = sim::SweepRunner::runJob(job, false).result;
+    const std::string path = tmpPath("unlinked.ckpt");
+    checkpointAt(job, 4000, path);
+    const auto bytes = readBytes(path);
+    const auto snap = snapshot::SnapshotReader::fromFile(path);
+    std::filesystem::remove(path);
+
+    ASSERT_FALSE(snap.sections().empty());
+    for (const auto &s : snap.sections()) {
+        auto section = snap.open(s.name);
+        std::vector<std::uint8_t> payload(s.size);
+        section.raw(payload.data(), payload.size());
+        EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                               bytes.begin() + s.offset))
+            << s.name;
+    }
+    sim::System sys(job.config);
+    sys.loadApp(job.app.scaled(job.scale));
+    snapshot::Sections sections(snap);
+    sys.serialize(sections);
+    testsupport::expectSameResult(full, sys.run());
 }
 
 TEST(Snapshot, UnreadablePathIsAnIoError)
@@ -496,6 +552,30 @@ TEST(Campaign, ResumeReplaysDonePointsByteIdentically)
         EXPECT_EQ(outcomes[0].attempts, 1);
         EXPECT_EQ(outcomes[1].attempts, 1);
         EXPECT_EQ(reportOf(outcomes), first);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Campaign, ResumeReplaysWholeResults)
+{
+    // A replayed point returns every RunResult member its live run
+    // returned, not only the ones the report prints: the latency
+    // breakdown, energy and collision categories included.
+    const std::string dir = tmpPath("camp_whole");
+    std::filesystem::remove_all(dir);
+    sim::CampaignConfig cc;
+    cc.dir = dir;
+    const std::vector<sim::CampaignPoint> points{
+        campaignPoint("p0", 3), campaignPoint("p1", 4)};
+    const auto live = sim::CampaignRunner(cc).run(points);
+    const auto replayed = sim::CampaignRunner(cc).run(points);
+    ASSERT_EQ(live.size(), 2u);
+    ASSERT_EQ(replayed.size(), 2u);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        SCOPED_TRACE(live[i].name);
+        EXPECT_GT(live[i].result.energy.total(), 0.0);
+        EXPECT_EQ(replayed[i].attempts, 1) << "replayed, not rerun";
+        testsupport::expectSameResult(live[i].result, replayed[i].result);
     }
     std::filesystem::remove_all(dir);
 }

@@ -28,12 +28,11 @@
 #include "noc/mesh_network.hh"
 #include "obs/crash.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/json_reader.hh"
 #include "obs/watchdog.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/system.hh"
 #include "workload/apps.hh"
-
-#include "json_validator.hh"
 
 namespace fsoi {
 namespace {
@@ -154,7 +153,7 @@ TEST(FlightRecorder, NamesStuckMshrInDump)
     rec.dumpJson(os, "test:deadlock", 100);
     const std::string dump = os.str();
 
-    EXPECT_TRUE(testsupport::jsonValid(dump)) << dump;
+    EXPECT_TRUE(obs::json::valid(dump)) << dump;
     EXPECT_NE(dump.find("\"reason\":\"test:deadlock\""),
               std::string::npos);
     // The in-flight table names the stuck transaction: an MSHR owned
@@ -174,7 +173,7 @@ TEST(FlightRecorder, DisabledRecorderCostsNothingAndDumpsEmpty)
     EXPECT_FALSE(rec.enabled());
     std::ostringstream os;
     rec.dumpJson(os, "noop", 0);
-    EXPECT_TRUE(testsupport::jsonValid(os.str())) << os.str();
+    EXPECT_TRUE(obs::json::valid(os.str())) << os.str();
 }
 
 TEST(FlightRecorder, RingKeepsOnlyMostRecentEvents)
@@ -185,7 +184,7 @@ TEST(FlightRecorder, RingKeepsOnlyMostRecentEvents)
     std::ostringstream os;
     rec.dumpJson(os, "wrap", 10);
     const std::string dump = os.str();
-    EXPECT_TRUE(testsupport::jsonValid(dump)) << dump;
+    EXPECT_TRUE(obs::json::valid(dump)) << dump;
     // Events 0..5 fell off the ring; 6..9 survive.
     EXPECT_EQ(dump.find("\"cycle\":5,"), std::string::npos);
     EXPECT_NE(dump.find("\"cycle\":6,"), std::string::npos);
@@ -199,7 +198,7 @@ TEST(MeshNetwork, LinkStateJsonParses)
     noc::MeshNetwork mesh(layout, noc::MeshConfig{});
     std::ostringstream os;
     mesh.writeLinkStateJson(os);
-    EXPECT_TRUE(testsupport::jsonValid(os.str())) << os.str();
+    EXPECT_TRUE(obs::json::valid(os.str())) << os.str();
 }
 
 TEST(CrashHooks, PanicWritesParsableFlightDump)
@@ -230,7 +229,7 @@ TEST(CrashHooks, PanicWritesParsableFlightDump)
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        EXPECT_TRUE(testsupport::jsonValid(line)) << line;
+        EXPECT_TRUE(obs::json::valid(line)) << line;
         ++documents;
         if (line.find("\"kind\":\"mshr\"") != std::string::npos
             && line.find("\"node\":2") != std::string::npos
@@ -256,7 +255,7 @@ TEST(FlightRecorder, FullSystemDumpParsesWithContext)
     outcome.system->flightRecorder().dumpJson(os, "test:post-run",
                                               outcome.result.cycles);
     const std::string dump = os.str();
-    EXPECT_TRUE(testsupport::jsonValid(dump)) << dump;
+    EXPECT_TRUE(obs::json::valid(dump)) << dump;
     // A real run records protocol traffic with symbolic names wired in
     // by the System (message types, MSHR wants, directory txn kinds).
     EXPECT_NE(dump.find("\"detail_name\""), std::string::npos);

@@ -102,6 +102,10 @@ rm -rf "$build/ci_camp_full" "$build/ci_camp_kill"
 # shellcheck disable=SC2086
 "$build/tools/sweep_campaign" --dir="$build/ci_camp_full" \
     $camp_args --json="$build/ci_camp_full.json" 2> /dev/null
+# Every journal record is one whole JSON document. (The killed
+# campaign's journal may end in a line the kill cut short, so only the
+# uninterrupted one is checked.)
+"$build/tests/check_json" --lines "$build/ci_camp_full/campaign.jsonl"
 # shellcheck disable=SC2086
 "$build/tools/sweep_campaign" --dir="$build/ci_camp_kill" \
     $camp_args --json="$build/ci_camp_kill.json" 2> /dev/null &

@@ -19,13 +19,13 @@
  *   --manifest       machine-readable "name size hash" lines (plus a
  *                    version header) for the golden-manifest CI gate
  *
- * The parser flattens the stats JSON tree into dotted scalar names
- * (arrays become name.0, name.1, ...), so it is robust to the exact
- * nesting the registry writer produces.
+ * Stats files are read through obs/json_reader.hh, which flattens the
+ * JSON tree into dotted scalar names (arrays become name.0, name.1,
+ * ...), so the report is robust to the exact nesting the registry
+ * writer produces.
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -36,149 +36,16 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_reader.hh"
 #include "snapshot/archive.hh"
 
 namespace {
 
-// --- minimal JSON reader, flattening numbers to dotted keys ---------
-
+/** One stats document flattened to its numeric leaves by dotted path
+ *  (booleans as 1/0; strings and nulls dropped). */
 struct FlatStats
 {
     std::map<std::string, double> values;
-};
-
-struct Parser
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    FlatStats &out;
-    bool ok = true;
-
-    void
-    fail(const char *what)
-    {
-        if (ok)
-            std::fprintf(stderr, "parse error at byte %zu: %s\n", pos,
-                         what);
-        ok = false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size()
-               && std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    parseString(std::string &s)
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != '"')
-            return false;
-        ++pos;
-        s.clear();
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\' && pos < text.size()) {
-                char e = text[pos++];
-                switch (e) {
-                  case 'n': s += '\n'; break;
-                  case 't': s += '\t'; break;
-                  case 'u':
-                    pos += std::min<std::size_t>(4, text.size() - pos);
-                    s += '?';
-                    break;
-                  default: s += e; break;
-                }
-            } else {
-                s += c;
-            }
-        }
-        if (pos >= text.size()) {
-            fail("unterminated string");
-            return false;
-        }
-        ++pos; // closing quote
-        return true;
-    }
-
-    void
-    parseValue(const std::string &key)
-    {
-        skipWs();
-        if (pos >= text.size()) {
-            fail("unexpected end of input");
-            return;
-        }
-        const char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            if (consume('}'))
-                return;
-            do {
-                std::string name;
-                if (!parseString(name)) {
-                    fail("expected object key");
-                    return;
-                }
-                if (!consume(':')) {
-                    fail("expected ':'");
-                    return;
-                }
-                parseValue(key.empty() ? name : key + "." + name);
-                if (!ok)
-                    return;
-            } while (consume(','));
-            if (!consume('}'))
-                fail("expected '}'");
-        } else if (c == '[') {
-            ++pos;
-            if (consume(']'))
-                return;
-            std::size_t index = 0;
-            do {
-                parseValue(key + "." + std::to_string(index++));
-                if (!ok)
-                    return;
-            } while (consume(','));
-            if (!consume(']'))
-                fail("expected ']'");
-        } else if (c == '"') {
-            std::string s;
-            if (!parseString(s))
-                fail("bad string");
-        } else if (std::strncmp(text.c_str() + pos, "true", 4) == 0) {
-            pos += 4;
-            out.values[key] = 1.0;
-        } else if (std::strncmp(text.c_str() + pos, "false", 5) == 0) {
-            pos += 5;
-            out.values[key] = 0.0;
-        } else if (std::strncmp(text.c_str() + pos, "null", 4) == 0) {
-            pos += 4;
-        } else {
-            char *end = nullptr;
-            const double v = std::strtod(text.c_str() + pos, &end);
-            if (end == text.c_str() + pos) {
-                fail("expected a value");
-                return;
-            }
-            pos = static_cast<std::size_t>(end - text.c_str());
-            out.values[key] = v;
-        }
-    }
 };
 
 bool
@@ -196,16 +63,24 @@ loadStats(const std::string &path, FlatStats &out)
     // Stats files can hold several concatenated documents (the writers
     // append: one doc per instrumented run). Report the last one --
     // the most recent run's final state.
-    Parser p{text, 0, out};
+    namespace json = fsoi::obs::json;
+    json::Reader reader(text);
     int docs = 0;
-    for (;;) {
-        p.skipWs();
-        if (p.pos >= text.size())
-            break;
+    while (!reader.atEnd()) {
         out.values.clear();
-        p.parseValue("");
-        if (!p.ok)
+        const bool ok = reader.document([&](const json::Leaf &leaf) {
+            if (leaf.kind == json::Kind::Number)
+                out.values[std::string(leaf.path)] =
+                    std::strtod(std::string(leaf.raw).c_str(), nullptr);
+            else if (leaf.kind == json::Kind::Bool)
+                out.values[std::string(leaf.path)] =
+                    leaf.raw == "true" ? 1.0 : 0.0;
+        });
+        if (!ok) {
+            std::fprintf(stderr, "parse error at byte %zu: %s\n",
+                         reader.offset(), reader.error());
             return false;
+        }
         ++docs;
     }
     if (docs == 0) {

@@ -67,22 +67,6 @@ intFlag(const char *name, const char *v, int min)
         static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
 }
 
-sim::NetKind
-parseNet(const std::string &name)
-{
-    if (name == "fsoi")
-        return sim::NetKind::Fsoi;
-    if (name == "mesh")
-        return sim::NetKind::Mesh;
-    if (name == "l0")
-        return sim::NetKind::L0;
-    if (name == "lr1")
-        return sim::NetKind::Lr1;
-    if (name == "lr2")
-        return sim::NetKind::Lr2;
-    fatal("unknown network '%s'", name.c_str());
-}
-
 } // namespace
 
 int
@@ -139,7 +123,7 @@ main(int argc, char **argv)
               "checkpoints");
 
     const workload::AppProfile app = workload::appByName(app_name);
-    const sim::NetKind net = parseNet(net_name);
+    const sim::NetKind net = sim::netKindByName(net_name);
 
     std::vector<sim::CampaignPoint> plan;
     plan.reserve(points);
