@@ -5,7 +5,8 @@
  * and prints the same rows/series the paper reports.
  *
  * All benches accept an optional first argument scaling the workload
- * (default chosen so the whole bench suite finishes in minutes).
+ * (default chosen so the whole bench suite finishes in minutes): a
+ * positive decimal number (obs::parseFlagReal).
  */
 
 #ifndef FSOI_BENCH_BENCH_UTIL_HH
@@ -13,7 +14,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <limits>
@@ -36,12 +36,7 @@ namespace fsoi::bench {
 inline double
 scaleArg(int argc, char **argv, double dflt)
 {
-    if (argc > 1) {
-        const double s = std::atof(argv[1]);
-        if (s > 0.0)
-            return s;
-    }
-    return dflt;
+    return argc > 1 ? obs::parseFlagReal("scale", argv[1]) : dflt;
 }
 
 /**

@@ -10,89 +10,13 @@
  *      (paper geometric means: FSOI 1.36, L0 1.43, Lr1 1.32, Lr2 1.22).
  */
 
-#include <cstdio>
-
-#include <iostream>
-
-#include "bench_util.hh"
-
-using namespace fsoi;
+#include "perf_figure.hh"
 
 int
 main(int argc, char **argv)
 {
-    bench::FigureJson json(argc, argv, "fig6");
-    bench::Sweep sweep(argc, argv);
-    const double scale = bench::scaleArg(argc, argv, 0.25);
-    const int cores = 16;
-    bench::banner("Figure 6", "16-node latency breakdown and speedups");
-
-    TextTable lat({"app", "queue", "sched", "net", "coll", "total",
-                   "mesh"});
-    TextTable spd({"app", "FSOI", "L0", "Lr1", "Lr2"});
-    std::vector<double> s_fsoi, s_l0, s_lr1, s_lr2;
-
-    const auto apps = bench::apps();
-    struct AppRuns
-    {
-        std::future<sim::RunResult> mesh, fso, l0, lr1, lr2;
-    };
-    std::vector<AppRuns> queued;
-    for (const auto &app : apps) {
-        queued.push_back(AppRuns{
-            sweep.run(bench::paperConfig(cores, sim::NetKind::Mesh),
-                      app, scale),
-            sweep.run(bench::paperConfig(cores, sim::NetKind::Fsoi),
-                      app, scale),
-            sweep.run(bench::paperConfig(cores, sim::NetKind::L0),
-                      app, scale),
-            sweep.run(bench::paperConfig(cores, sim::NetKind::Lr1),
-                      app, scale),
-            sweep.run(bench::paperConfig(cores, sim::NetKind::Lr2),
-                      app, scale)});
-    }
-
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const auto &app = apps[i];
-        const auto mesh = queued[i].mesh.get();
-        const auto fso = queued[i].fso.get();
-        const auto l0 = queued[i].l0.get();
-        const auto lr1 = queued[i].lr1.get();
-        const auto lr2 = queued[i].lr2.get();
-
-        lat.addRow({app.name, TextTable::num(fso.queuing, 1),
-                    TextTable::num(fso.scheduling, 1),
-                    TextTable::num(fso.network, 1),
-                    TextTable::num(fso.collision_resolution, 1),
-                    TextTable::num(fso.avg_packet_latency, 1),
-                    TextTable::num(mesh.avg_packet_latency, 1)});
-
-        const double base = static_cast<double>(mesh.cycles);
-        s_fsoi.push_back(base / fso.cycles);
-        s_l0.push_back(base / l0.cycles);
-        s_lr1.push_back(base / lr1.cycles);
-        s_lr2.push_back(base / lr2.cycles);
-        spd.addRow({app.name, TextTable::num(s_fsoi.back(), 2),
-                    TextTable::num(s_l0.back(), 2),
-                    TextTable::num(s_lr1.back(), 2),
-                    TextTable::num(s_lr2.back(), 2)});
-    }
-
-    std::printf("(a) FSOI packet latency breakdown vs mesh (cycles):\n\n");
-    lat.print(std::cout);
-    std::printf("\n(b) speedup over the mesh baseline:\n\n");
-    spd.print(std::cout);
-    std::printf("\ngeometric means:  FSOI %.2f   L0 %.2f   Lr1 %.2f   "
-                "Lr2 %.2f\n",
-                geometricMean(s_fsoi), geometricMean(s_l0),
-                geometricMean(s_lr1), geometricMean(s_lr2));
-    json.table(lat);
-    json.table(spd);
-    json.scalar("geomean_fsoi", geometricMean(s_fsoi));
-    json.scalar("geomean_l0", geometricMean(s_l0));
-    json.scalar("geomean_lr1", geometricMean(s_lr1));
-    json.scalar("geomean_lr2", geometricMean(s_lr2));
-    std::printf("(paper:           FSOI 1.36   L0 1.43   Lr1 1.32   "
-                "Lr2 1.22)\n");
-    return 0;
+    return fsoi::bench::perfFigure(
+        argc, argv,
+        {"fig6", "Figure 6", "16-node latency breakdown and speedups", 16,
+         0.25, {1.36, 1.43, 1.32, 1.22}});
 }

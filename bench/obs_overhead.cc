@@ -3,27 +3,30 @@
  * Observability overhead gate: runs the same FSOI workload with the
  * telemetry layer at its defaults (flight recorder ring + sampled
  * self-profiler + link counters) and with the tunable parts disabled,
- * then compares wall-clock cycles/sec. CI asserts the overhead stays
+ * then compares their wall-clock times. CI asserts the overhead stays
  * under a budget (default 3%).
  *
  * The two configs must also produce bit-identical simulated cycle
  * counts -- telemetry never touches simulation state -- and the bench
  * fails loudly if they diverge.
  *
- * Host noise only ever inflates a measurement, so a round that lands
- * under the budget is trustworthy while a round over it may just have
- * caught a throttling spike: the gate re-measures up to --rounds times
- * and fails only if every round exceeds the budget.
+ * Runs are timed in pairs: telemetry on and off back to back, the
+ * order reversed from one pair to the next, so host drift (throttling,
+ * another process's load) falls on both halves of a pair alike and an
+ * order effect cancels over the pairs. The gate reads the median of
+ * the per-pair on/off time ratios and prints their quartiles. A round
+ * over budget may still have caught a throttling spike, so the gate
+ * re-measures up to --rounds times and fails only if every round
+ * exceeds the budget.
  *
- * Usage: obs_overhead [--max=PCT] [--reps=N] [--rounds=N] [scale]
+ * Usage: obs_overhead [--max=PCT] [--reps=PAIRS] [--rounds=N] [scale]
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
+#include <vector>
 
 #include "bench_util.hh"
 
@@ -32,21 +35,30 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-struct Timed
+struct Variant
 {
+    const char *label;
+    sim::SystemConfig config;
     sim::RunResult result;
-    double seconds = 0.0;
+    std::vector<double> seconds;
+    std::vector<double> ratios; //!< per-pair time over telemetry off
 };
 
-Timed
-timedRun(const sim::SystemConfig &cfg, const workload::AppProfile &app,
-         double scale)
+/** Quantile @p q of @p v (linear between order statistics). */
+double
+quantile(std::vector<double> v, double q)
 {
-    const auto t0 = Clock::now();
-    Timed t;
-    t.result = bench::runConfig(cfg, app, scale);
-    t.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    return t;
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+double
+pct(double ratio)
+{
+    return (ratio - 1.0) * 100.0;
 }
 
 } // namespace
@@ -55,17 +67,16 @@ int
 main(int argc, char **argv)
 {
     double max_pct = 3.0;
-    int reps = 3;
+    int pairs = 9;
     int rounds = 3;
     int keep = 1;
     constexpr auto kIntMax =
         static_cast<std::uint64_t>(std::numeric_limits<int>::max());
     for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg.rfind("--max=", 0) == 0)
-            max_pct = std::atof(arg.data() + 6);
+        if (const char *v = obs::flagValue(argv[i], "--max"))
+            max_pct = obs::parseFlagReal("--max", v);
         else if (const char *v = obs::flagValue(argv[i], "--reps"))
-            reps = static_cast<int>(
+            pairs = static_cast<int>(
                 obs::parseFlagInt("--reps", v, 1, kIntMax));
         else if (const char *v = obs::flagValue(argv[i], "--rounds"))
             rounds = static_cast<int>(
@@ -91,52 +102,58 @@ main(int argc, char **argv)
     auto profiler_only = bare;
     profiler_only.profile_stride = telemetry.profile_stride;
 
-    // Interleave the variants and keep the best rep of each, so one
-    // background hiccup cannot charge all its noise to one side. The
+    // variants[0] is the baseline every ratio divides by. The
     // single-feature runs are informational: they attribute the
-    // overhead, the gate compares only all-on vs all-off.
-    Timed best_tel, best_bare, best_rec, best_prof;
+    // overhead, the gate compares only all-on against all-off.
+    Variant variants[] = {{"telemetry off", bare, {}, {}, {}},
+                          {"telemetry on", telemetry, {}, {}, {}},
+                          {"flight recorder only", recorder_only, {}, {},
+                           {}},
+                          {"profiler only", profiler_only, {}, {}, {}}};
+    Variant &off = variants[0];
+    Variant &on = variants[1];
+    // Even pairs run on, off, then the attributions; odd pairs the
+    // reverse. On and off stay adjacent either way.
+    constexpr int kOrder[2][4] = {{1, 0, 2, 3}, {3, 2, 0, 1}};
+
     double overhead_pct = 0.0;
     bool within_budget = false;
     for (int round = 0; round < rounds && !within_budget; ++round) {
-        for (int r = 0; r < reps; ++r) {
-            const Timed tel = timedRun(telemetry, app, scale);
-            const Timed none = timedRun(bare, app, scale);
-            const Timed rec = timedRun(recorder_only, app, scale);
-            const Timed prof = timedRun(profiler_only, app, scale);
-            if (r == 0 || tel.seconds < best_tel.seconds)
-                best_tel = tel;
-            if (r == 0 || none.seconds < best_bare.seconds)
-                best_bare = none;
-            if (r == 0 || rec.seconds < best_rec.seconds)
-                best_rec = rec;
-            if (r == 0 || prof.seconds < best_prof.seconds)
-                best_prof = prof;
+        for (Variant &v : variants) {
+            v.seconds.clear();
+            v.ratios.clear();
+        }
+        for (int p = 0; p < pairs; ++p) {
+            for (const int i : kOrder[p % 2]) {
+                Variant &v = variants[i];
+                const auto t0 = Clock::now();
+                v.result = bench::runConfig(v.config, app, scale);
+                v.seconds.push_back(
+                    std::chrono::duration<double>(Clock::now() - t0)
+                        .count());
+            }
+            for (Variant &v : variants) {
+                if (v.result.cycles != off.result.cycles
+                    || v.result.instructions != off.result.instructions) {
+                    std::fprintf(
+                        stderr,
+                        "FAIL: telemetry changed simulation results: %s "
+                        "ran %llu cycles, %llu instructions; telemetry "
+                        "off %llu, %llu\n",
+                        v.label,
+                        static_cast<unsigned long long>(v.result.cycles),
+                        static_cast<unsigned long long>(
+                            v.result.instructions),
+                        static_cast<unsigned long long>(off.result.cycles),
+                        static_cast<unsigned long long>(
+                            off.result.instructions));
+                    return 1;
+                }
+                v.ratios.push_back(v.seconds.back() / off.seconds.back());
+            }
         }
 
-        if (best_tel.result.cycles != best_bare.result.cycles
-            || best_tel.result.instructions
-                   != best_bare.result.instructions) {
-            std::fprintf(
-                stderr,
-                "FAIL: telemetry changed simulation results "
-                "(cycles %llu vs %llu, instructions %llu vs %llu)\n",
-                static_cast<unsigned long long>(best_tel.result.cycles),
-                static_cast<unsigned long long>(best_bare.result.cycles),
-                static_cast<unsigned long long>(
-                    best_tel.result.instructions),
-                static_cast<unsigned long long>(
-                    best_bare.result.instructions));
-            return 1;
-        }
-
-        overhead_pct =
-            (static_cast<double>(best_bare.result.cycles)
-                 / best_bare.seconds
-             / (static_cast<double>(best_tel.result.cycles)
-                / best_tel.seconds)
-             - 1.0)
-            * 100.0;
+        overhead_pct = pct(quantile(on.ratios, 0.5));
         within_budget = overhead_pct <= max_pct;
         if (!within_budget && round + 1 < rounds)
             std::fprintf(stderr,
@@ -151,27 +168,28 @@ main(int argc, char **argv)
         sim::SweepJob{telemetry, app, scale}, true);
     const double events =
         static_cast<double>(kept.system->flightRecorder().recorded());
-
-    const double cps_tel =
-        static_cast<double>(best_tel.result.cycles) / best_tel.seconds;
-    const double cps_bare =
-        static_cast<double>(best_bare.result.cycles) / best_bare.seconds;
+    const double cycles = static_cast<double>(off.result.cycles);
 
     std::printf("cycles simulated     : %llu (identical both ways)\n",
-                static_cast<unsigned long long>(best_tel.result.cycles));
+                static_cast<unsigned long long>(off.result.cycles));
     std::printf("events recorded      : %.0f (%.2f per cycle)\n", events,
-                events / static_cast<double>(best_tel.result.cycles));
-    std::printf("telemetry on         : %.2f Mcycles/s (%.3f s)\n",
-                cps_tel / 1e6, best_tel.seconds);
-    std::printf("flight recorder only : %.2f Mcycles/s (%.3f s)\n",
-                best_rec.result.cycles / best_rec.seconds / 1e6,
-                best_rec.seconds);
-    std::printf("profiler only        : %.2f Mcycles/s (%.3f s)\n",
-                best_prof.result.cycles / best_prof.seconds / 1e6,
-                best_prof.seconds);
-    std::printf("telemetry off        : %.2f Mcycles/s (%.3f s)\n",
-                cps_bare / 1e6, best_bare.seconds);
-    std::printf("overhead             : %.2f%% (budget %.2f%%)\n",
+                events / cycles);
+    std::printf("pairs timed          : %d, order alternating\n", pairs);
+    std::printf("%-21s: %.2f Mcycles/s (median %.3f s)\n", off.label,
+                cycles / quantile(off.seconds, 0.5) / 1e6,
+                quantile(off.seconds, 0.5));
+    for (const Variant &v : variants) {
+        if (&v == &off)
+            continue;
+        std::printf("%-21s: %.2f Mcycles/s (median %.3f s), per-pair "
+                    "time vs off %+.2f%% [quartiles %+.2f%%, %+.2f%%]\n",
+                    v.label, cycles / quantile(v.seconds, 0.5) / 1e6,
+                    quantile(v.seconds, 0.5), pct(quantile(v.ratios, 0.5)),
+                    pct(quantile(v.ratios, 0.25)),
+                    pct(quantile(v.ratios, 0.75)));
+    }
+    std::printf("overhead             : %.2f%% median per-pair time "
+                "ratio (budget %.2f%%)\n",
                 overhead_pct, max_pct);
 
     if (!within_budget) {

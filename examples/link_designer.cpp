@@ -10,10 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
 
 #include "analytic/bandwidth_alloc.hh"
+#include "obs/cli.hh"
 #include "photonics/link_budget.hh"
 #include "photonics/units.hh"
 
@@ -107,7 +107,8 @@ laneSplit()
 int
 main(int argc, char **argv)
 {
-    const double target_ber = argc > 1 ? std::atof(argv[1]) : 1e-10;
+    const double target_ber =
+        argc > 1 ? obs::parseFlagReal("target_ber", argv[1]) : 1e-10;
     std::printf("fsoi-sim link designer (target BER %.0e)\n\n",
                 target_ber);
     sweepDistance(target_ber);

@@ -6,6 +6,9 @@
  *
  *   ./quickstart [app] [cores]
  *
+ * cores is a plain decimal integer of at least 4 (obs::parseFlagInt);
+ * the mesh layouts want a perfect square.
+ *
  * Also takes the shared observability knobs (see obs/cli.hh): e.g.
  * `--stats-json=run.jsonl --stats-interval=10000` emits a per-epoch
  * time series for the FSOI run, and `FSOI_TRACE=fsoi:2` in the
@@ -18,7 +21,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "obs/cli.hh"
@@ -57,7 +60,10 @@ main(int argc, char **argv)
 {
     const obs::CliOptions obs_opts = obs::parseCliOptions(argc, argv);
     const std::string app_name = argc > 1 ? argv[1] : "fft";
-    const int cores = argc > 2 ? std::atoi(argv[2]) : 16;
+    const int cores = argc > 2
+        ? static_cast<int>(obs::parseFlagInt(
+              "cores", argv[2], 4, std::numeric_limits<int>::max()))
+        : 16;
 
     workload::AppProfile app = workload::appByName(app_name);
     app = app.scaled(0.5); // quick demo run

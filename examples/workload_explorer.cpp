@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -38,7 +37,8 @@ main(int argc, char **argv)
     const obs::CliOptions obs_opts = obs::parseCliOptions(argc, argv);
     const sim::NetKind kind =
         argc > 1 ? sim::netKindByName(argv[1]) : sim::NetKind::Fsoi;
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
+    const double scale =
+        argc > 2 ? obs::parseFlagReal("scale", argv[2]) : 0.5;
 
     std::printf("workload explorer: 16 cores, %s interconnect, "
                 "scale %.2f\n\n", sim::netKindName(kind), scale);

@@ -783,18 +783,9 @@ Directory::tick(Cycle now)
 
     // Drain the outbox (entries become visible after their pipeline
     // latency; the transport may refuse when queues are full).
-    {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < outbox_.size(); ++i) {
-            auto &out = outbox_[i];
-            if (out.ready_at <= now
-                && transport_.trySend(node_, out.dst, out.msg)) {
-                continue;
-            }
-            outbox_[keep++] = std::move(out);
-        }
-        outbox_.resize(keep);
-    }
+    drainDue(outbox_, now, [this](const OutMsg &out) {
+        return transport_.trySend(node_, out.dst, out.msg);
+    });
 
     // Retry deferred fills (ways may have freed).
     if (!deferredFills_.empty()) {
@@ -833,7 +824,7 @@ Directory::serialize(snapshot::Archive &ar)
     ar(epochCounter_);
 
     ar.seq(inQueue_);
-    ar.seq(outbox_, [&](OutMsg &out) { ar(out.ready_at, out.dst, out.msg); });
+    ar.seq(outbox_, [&](OutMsg &out) { ar(out.due, out.dst, out.msg); });
     ar.seq(deferredFills_);
     ar.sortedMap(syncVars_, [&](SyncVar &var) {
         ar(var.value, var.version, var.subscribers);

@@ -33,6 +33,7 @@
 #include "coherence/line_table.hh"
 #include "coherence/message.hh"
 #include "coherence/transport.hh"
+#include "common/due_list.hh"
 #include "common/stats.hh"
 #include "obs/stat_registry.hh"
 
@@ -123,7 +124,7 @@ class Directory
     bool quiescent() const;
 
     /**
-     * Active-set scheduling protocol (see L1Cache::active): tick()
+     * Active-set scheduling protocol (see L1Cache::quiescent): tick()
      * only drains the outbox, deferred fills and the input queue, so
      * the slice is skippable whenever those are empty — outstanding
      * txns_ advance purely through handleMessage() and don't require
@@ -144,17 +145,14 @@ class Directory
      * progress, or kNoCycle when the slice advances purely through
      * deliveries (outstanding txns_ don't need ticking; queued input
      * and deferred fills retry every cycle; outbox entries wait for
-     * their ready_at).
+     * their due cycle).
      */
     Cycle
     nextEventCycle(Cycle now) const
     {
         if (!inQueue_.empty() || !deferredFills_.empty())
             return now + 1;
-        Cycle next = kNoCycle;
-        for (const OutMsg &out : outbox_)
-            next = std::min(next, std::max(out.ready_at, now + 1));
-        return next;
+        return nextDue(outbox_, now);
     }
 
     /** Print outstanding state to stderr (watchdog diagnostics). */
@@ -229,7 +227,7 @@ class Directory
 
     struct OutMsg
     {
-        Cycle ready_at;
+        Cycle due; //!< sent from this cycle on (pipeline latency)
         NodeId dst;
         Message msg;
     };

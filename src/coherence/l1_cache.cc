@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/due_list.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "obs/flight_recorder.hh"
@@ -133,16 +134,32 @@ L1Cache::issueRequest(Addr line, Mshr &mshr)
 bool
 L1Cache::load(Addr addr)
 {
+    return read(addr, false);
+}
+
+bool
+L1Cache::loadLinked(Addr addr)
+{
+    return read(addr, true);
+}
+
+bool
+L1Cache::read(Addr addr, bool linked)
+{
     const Addr line = array_.lineAddr(addr);
 
-    // Store-buffer forwarding (youngest matching entry wins).
-    for (auto it = storeBuffer_.rbegin(); it != storeBuffer_.rend(); ++it) {
-        if (it->addr == addr) {
-            stats_.loads++;
-            stats_.l1_accesses++;
-            stats_.load_hits++;
-            scheduleDone(now_ + config_.hit_latency, it->value, true);
-            return true;
+    // Store-buffer forwarding (youngest matching entry wins); an ll
+    // reads the cache so the link covers a readable copy.
+    if (!linked) {
+        for (auto it = storeBuffer_.rbegin(); it != storeBuffer_.rend();
+             ++it) {
+            if (it->addr == addr) {
+                stats_.loads++;
+                stats_.l1_accesses++;
+                stats_.load_hits++;
+                scheduleDone(now_ + config_.hit_latency, it->value, true);
+                return true;
+            }
         }
     }
 
@@ -150,41 +167,10 @@ L1Cache::load(Addr addr)
         stats_.loads++;
         stats_.l1_accesses++;
         stats_.load_hits++;
-        scheduleDone(now_ + config_.hit_latency, memory_.read(addr), true);
-        return true;
-    }
-
-    if (const int idx = mshrs_.find(line); idx >= 0) {
-        stats_.loads++;
-        stats_.l1_accesses++;
-        mshrs_.at(idx).loads.push_back(addr);
-        return true;
-    }
-
-    if (mshrs_.full())
-        return false;
-
-    stats_.loads++;
-    stats_.l1_accesses++;
-    stats_.misses++;
-    Mshr &mshr = mshrs_.at(mshrs_.alloc(line));
-    mshr.want = Mshr::Want::Shared;
-    mshr.loads.push_back(addr);
-    issueRequest(line, mshr);
-    return true;
-}
-
-bool
-L1Cache::loadLinked(Addr addr)
-{
-    const Addr line = array_.lineAddr(addr);
-
-    if (auto *ln = array_.find(addr); ln && ln->meta.state != L1State::I) {
-        stats_.loads++;
-        stats_.l1_accesses++;
-        stats_.load_hits++;
-        linkValid_ = true;
-        linkLine_ = line;
+        if (linked) {
+            linkValid_ = true;
+            linkLine_ = line;
+        }
         scheduleDone(now_ + config_.hit_latency, memory_.read(addr), true);
         return true;
     }
@@ -193,10 +179,11 @@ L1Cache::loadLinked(Addr addr)
         stats_.loads++;
         stats_.l1_accesses++;
         Mshr &mshr = mshrs_.at(idx);
-        mshr.is_ll = true;
+        mshr.is_ll |= linked;
         mshr.loads.push_back(addr);
         return true;
     }
+
     if (mshrs_.full())
         return false;
 
@@ -205,7 +192,7 @@ L1Cache::loadLinked(Addr addr)
     stats_.misses++;
     Mshr &mshr = mshrs_.at(mshrs_.alloc(line));
     mshr.want = Mshr::Want::Shared;
-    mshr.is_ll = true;
+    mshr.is_ll = linked;
     mshr.loads.push_back(addr);
     issueRequest(line, mshr);
     return true;
@@ -625,17 +612,10 @@ L1Cache::tick(Cycle now)
     now_ = now;
 
     // Fire completed operations.
-    {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < pendingDone_.size(); ++i) {
-            const PendingDone &done = pendingDone_[i];
-            if (done.due <= now)
-                onComplete_(done.value, done.success);
-            else
-                pendingDone_[keep++] = done;
-        }
-        pendingDone_.resize(keep);
-    }
+    drainDue(pendingDone_, now, [this](const PendingDone &done) {
+        onComplete_(done.value, done.success);
+        return true;
+    });
 
     // Retry deferred fills.
     if (!deferredData_.empty()) {
@@ -715,10 +695,7 @@ L1Cache::nextEventCycle(Cycle now) const
     if (!deferredData_.empty() || !outbox_.empty())
         return now + 1;
 
-    Cycle next = kNoCycle;
-    for (const PendingDone &done : pendingDone_)
-        next = std::min(next, std::max(done.due, now + 1));
-
+    Cycle next = nextDue(pendingDone_, now);
     mshrs_.forEach([&](Addr, const Mshr &mshr) {
         if (mshr.retry_at != kNoCycle && !mshr.request_outstanding)
             next = std::min(next, std::max(mshr.retry_at, now + 1));

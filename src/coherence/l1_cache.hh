@@ -140,24 +140,15 @@ class L1Cache
     /** Advance one cycle: drain outbox, store buffer, retries. */
     void tick(Cycle now);
 
-    /** True when no miss, store or outgoing message is outstanding. */
-    bool quiescent() const;
-
     /**
-     * Active-set scheduling protocol: tick() is a no-op beyond the
-     * clock refresh whenever every work list below is empty, so the
-     * System skips the call and keeps the clock fresh via syncClock()
-     * instead. The controller re-enters the active set through
-     * handleMessage() / the core-facing entry points, which all refill
-     * one of these lists before the next cycle's check.
+     * True when no miss, store, completion, deferred fill or outgoing
+     * message is outstanding. tick() is then a no-op beyond the clock
+     * refresh, so the System leaves the controller unscheduled and
+     * keeps the clock fresh via syncClock() instead; handleMessage()
+     * and the core-facing entry points refill a work list before the
+     * controller must tick again.
      */
-    bool
-    active() const
-    {
-        return !pendingDone_.empty() || !deferredData_.empty()
-            || !outbox_.empty() || !mshrs_.empty()
-            || !storeBuffer_.empty();
-    }
+    bool quiescent() const;
 
     /** Keep now_ fresh on skipped cycles (what an idle tick() did). */
     void syncClock(Cycle now) { now_ = now; }
@@ -226,6 +217,9 @@ class L1Cache
         Message msg;
     };
 
+    /** load() and loadLinked(): ll skips store-buffer forwarding and
+     *  arms the link register. */
+    bool read(Addr addr, bool linked);
     void queueSend(NodeId dst, const Message &msg);
     void issueRequest(Addr line, Mshr &mshr);
     void scheduleDone(Cycle due, std::uint64_t value, bool success);

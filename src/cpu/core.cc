@@ -1,7 +1,9 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <initializer_list>
 
 #include "coherence/directory.hh"
 #include "common/logging.hh"
@@ -135,51 +137,89 @@ Core::subSpinSatisfied() const
     return it != subValues_.end() && it->second == want;
 }
 
+Core::Wait
+Core::waitOf(Mode mode)
+{
+    // The one mode table. A mode not listed is an issue step: it makes
+    // progress (or retries) every cycle, so it is never woken late.
+    static constexpr auto table = [] {
+        std::array<Wait, static_cast<std::size_t>(Mode::Done) + 1> t{};
+        t.fill(Wait::Issue);
+        auto set = [&t](Wait wait, std::initializer_list<Mode> modes) {
+            for (const Mode m : modes)
+                t[static_cast<std::size_t>(m)] = wait;
+        };
+        set(Wait::Compute, {Mode::Compute});
+        set(Wait::Pause, {Mode::LockSpinPause, Mode::LockRetryPause,
+                          Mode::BarSpinPause, Mode::BarRetryPause});
+        set(Wait::L1, {Mode::LoadWait, Mode::LockLlWait, Mode::LockScWait,
+                       Mode::LockSpinWait, Mode::BarLlWait, Mode::BarScWait,
+                       Mode::BarSpinWait});
+        set(Wait::Reply,
+            {Mode::SubLlWait, Mode::SubScWait, Mode::SubStoreWait});
+        set(Wait::SubSpin, {Mode::SubSpin});
+        set(Wait::Done, {Mode::Done});
+        return t;
+    }();
+    return table[static_cast<std::size_t>(mode)];
+}
+
+bool
+Core::waitOver(Wait wait, Cycle now) const
+{
+    switch (wait) {
+      case Wait::Issue:
+        return true;
+      case Wait::Compute:
+      case Wait::Pause:
+        return now >= busyUntil_;
+      case Wait::L1:
+        return cbArrived_;
+      case Wait::Reply:
+        return subDirectArrived_;
+      case Wait::SubSpin:
+        return subSpinSatisfied();
+      case Wait::Done:
+        return false;
+    }
+    return false;
+}
+
+Counter *
+Core::waitCounter(Wait wait)
+{
+    switch (wait) {
+      case Wait::Compute:
+        return &stats_.active_cycles;
+      case Wait::L1:
+      case Wait::Reply:
+        return &stats_.stall_cycles;
+      default:
+        return nullptr;
+    }
+}
+
+bool
+Core::accrue(Wait wait, Cycle now)
+{
+    if (waitOver(wait, now))
+        return false;
+    if (Counter *counter = waitCounter(wait))
+        ++*counter;
+    return true;
+}
+
 Cycle
 Core::nextEventCycle(Cycle now) const
 {
-    switch (mode_) {
-      case Mode::Done:
-        return kNoCycle;
-
-      // Compute and the pause modes sit idle until busyUntil_; the
-      // per-cycle accounting they would have accrued is reconstructed
-      // by catchUp().
-      case Mode::Compute:
-      case Mode::LockRetryPause:
-      case Mode::LockSpinPause:
-      case Mode::BarRetryPause:
-      case Mode::BarSpinPause:
+    // A timed wait sleeps until busyUntil_. Any other mode moves next
+    // cycle once its wait is over, else only on the delivery that ends
+    // it: the System wakes the core for every L1 completion and every
+    // control bit (a pushed subscription value included).
+    const Wait wait = waitOf(mode_);
+    if (timed(wait))
         return std::max(busyUntil_, now + 1);
-
-      // L1 rendezvous: nothing to do until the completion lands
-      // (the System wakes us when it delivers one).
-      case Mode::LoadWait:
-      case Mode::LockLlWait:
-      case Mode::LockScWait:
-      case Mode::LockSpinWait:
-      case Mode::BarLlWait:
-      case Mode::BarScWait:
-      case Mode::BarSpinWait:
-        return cbArrived_ ? now + 1 : kNoCycle;
-
-      // Subscription rendezvous: woken by the control-bit delivery.
-      case Mode::SubLlWait:
-      case Mode::SubScWait:
-      case Mode::SubStoreWait:
-        return subDirectArrived_ ? now + 1 : kNoCycle;
-
-      // Passive spin on the subscription value table: progress only
-      // when a control bit flips the watched word (its delivery wakes
-      // us), or immediately if the wanted value is already there.
-      case Mode::SubSpin:
-        return subSpinSatisfied() ? now + 1 : kNoCycle;
-
-      // Everything else (fetch, issue/send retries, store drains)
-      // attempts forward progress every cycle.
-      default:
-        return now + 1;
-    }
+    return waitOver(wait, now) ? now + 1 : kNoCycle;
 }
 
 void
@@ -188,39 +228,19 @@ Core::catchUp(Cycle now)
     // Reconstruct the per-cycle counter updates the tick-every-cycle
     // engine would have made over the skipped span (now_, now): the
     // gap covers cycles now_ + 1 .. now - 1, exclusive of the tick
-    // about to run at `now` which does its own accounting.
-    const Cycle gap = now - now_ - 1;
-    switch (mode_) {
-      case Mode::Compute: {
-        // Each skipped cycle c with c < busyUntil_ was an active
-        // cycle; the scheduler wakes us at busyUntil_, so normally
-        // the whole gap qualifies (min() guards spurious late wakes).
-        const Cycle active_end = std::min(now, busyUntil_);
-        if (active_end > now_ + 1)
-            stats_.active_cycles += active_end - now_ - 1;
+    // about to run at `now` which does its own accounting. A timed
+    // wait accrued each skipped cycle before busyUntil_ (the scheduler
+    // wakes it there; min() guards spurious late wakes). A delivery
+    // wait accrued every skipped cycle: each preceded the arrival,
+    // because the System wakes the core for a same-cycle tick on every
+    // delivery.
+    const Wait wait = waitOf(mode_);
+    Counter *counter = waitCounter(wait);
+    if (!counter)
         return;
-      }
-
-      case Mode::LoadWait:
-      case Mode::LockLlWait:
-      case Mode::LockScWait:
-      case Mode::LockSpinWait:
-      case Mode::BarLlWait:
-      case Mode::BarScWait:
-      case Mode::BarSpinWait:
-      case Mode::SubLlWait:
-      case Mode::SubScWait:
-      case Mode::SubStoreWait:
-        // Every skipped cycle preceded the arrival (the System wakes
-        // the core for a same-cycle tick on every delivery).
-        stats_.stall_cycles += gap;
-        return;
-
-      // Pause modes and SubSpin accrued nothing per cycle in the
-      // original engine; fetch/issue modes never sleep.
-      default:
-        return;
-    }
+    const Cycle end = timed(wait) ? std::min(now, busyUntil_) : now;
+    if (end > now_ + 1)
+        *counter += end - now_ - 1;
 }
 
 void
@@ -231,32 +251,41 @@ Core::syncStats(Cycle now)
     if (now > now_) {
         // Account the boundary cycle `now` itself the way a tick at
         // `now` would have: the sampler reads after components ran.
-        switch (mode_) {
-          case Mode::Compute:
-            if (now < busyUntil_)
-                stats_.active_cycles++;
-            break;
-          case Mode::LoadWait:
-          case Mode::LockLlWait:
-          case Mode::LockScWait:
-          case Mode::LockSpinWait:
-          case Mode::BarLlWait:
-          case Mode::BarScWait:
-          case Mode::BarSpinWait:
-            if (!cbArrived_)
-                stats_.stall_cycles++;
-            break;
-          case Mode::SubLlWait:
-          case Mode::SubScWait:
-          case Mode::SubStoreWait:
-            if (!subDirectArrived_)
-                stats_.stall_cycles++;
-            break;
-          default:
-            break;
-        }
+        accrue(waitOf(mode_), now);
         now_ = now;
     }
+}
+
+void
+Core::issue(bool accepted, Mode wait)
+{
+    cbArrived_ = false;
+    if (accepted)
+        mode_ = wait;
+}
+
+void
+Core::backoff(Cycle now, Mode pause)
+{
+    scFails_ = std::min(scFails_ + 1, 8);
+    const std::uint64_t window =
+        static_cast<std::uint64_t>(config_.sc_backoff) << scFails_;
+    busyUntil_ = now + 1 + rng_.nextBelow(window + 1);
+    mode_ = pause;
+}
+
+void
+Core::retire()
+{
+    stats_.instructions++;
+    mode_ = Mode::Fetch;
+}
+
+void
+Core::passBarrier()
+{
+    stats_.barriers_passed++;
+    retire();
 }
 
 void
@@ -265,42 +294,37 @@ Core::tick(Cycle now)
     if (now > now_ + 1)
         catchUp(now);
     now_ = now;
+    // A mode whose wait is not over only accrues this cycle.
+    const Wait wait = waitOf(mode_);
+    if (accrue(wait, now))
+        return;
+    if (wait == Wait::Reply)
+        subDirectArrived_ = false; // the direct reply is consumed
     switch (mode_) {
       case Mode::Done:
-        return;
+        return; // not reached: a Done core's wait never ends
 
       case Mode::Fetch:
         fetch(now);
         return;
 
       case Mode::Compute:
-        if (now >= busyUntil_)
-            mode_ = Mode::Fetch;
-        else
-            stats_.active_cycles++;
+        mode_ = Mode::Fetch;
         return;
 
       case Mode::LoadIssue:
-        cbArrived_ = false;
-        if (l1_.load(instr_.addr))
-            mode_ = Mode::LoadWait;
+        issue(l1_.load(instr_.addr), Mode::LoadWait);
         return;
 
       case Mode::LoadWait:
-        if (cbArrived_) {
-            stats_.loads++;
-            stats_.instructions++;
-            mode_ = Mode::Fetch;
-        } else {
-            stats_.stall_cycles++;
-        }
+        stats_.loads++;
+        retire();
         return;
 
       case Mode::StoreIssue:
         if (l1_.store(instr_.addr, instr_.value)) {
             stats_.stores++;
-            stats_.instructions++;
-            mode_ = Mode::Fetch;
+            retire();
         } else {
             stats_.stall_cycles++; // store buffer full
         }
@@ -308,69 +332,42 @@ Core::tick(Cycle now)
 
       // ----- test-and-test-and-set lock, ll/sc flavour -----
       case Mode::LockLl:
-        cbArrived_ = false;
-        if (l1_.loadLinked(instr_.addr))
-            mode_ = Mode::LockLlWait;
+        issue(l1_.loadLinked(instr_.addr), Mode::LockLlWait);
         return;
 
       case Mode::LockLlWait:
-        if (!cbArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
         mode_ = cbValue_ == 0 ? Mode::LockSc : Mode::LockSpinPause;
         busyUntil_ = now + config_.spin_delay;
         return;
 
       case Mode::LockSc:
-        cbArrived_ = false;
-        if (l1_.storeConditional(instr_.addr, 1))
-            mode_ = Mode::LockScWait;
+        issue(l1_.storeConditional(instr_.addr, 1), Mode::LockScWait);
         return;
 
       case Mode::LockScWait:
-        if (!cbArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
         if (cbSuccess_) {
             stats_.locks_acquired++;
-            stats_.instructions++;
             scFails_ = 0;
-            mode_ = Mode::Fetch;
+            retire();
         } else {
-            scFails_ = std::min(scFails_ + 1, 8);
-            const std::uint64_t window =
-                static_cast<std::uint64_t>(config_.sc_backoff)
-                << scFails_;
-            busyUntil_ = now + 1 + rng_.nextBelow(window + 1);
-            mode_ = Mode::LockRetryPause;
+            backoff(now, Mode::LockRetryPause);
         }
         return;
 
       case Mode::LockRetryPause:
-        if (now >= busyUntil_)
-            mode_ = Mode::LockLl;
+        mode_ = Mode::LockLl;
         return;
 
       case Mode::LockSpinPause:
-        if (now >= busyUntil_) {
-            stats_.spin_loops++;
-            mode_ = Mode::LockSpinLoad;
-        }
+        stats_.spin_loops++;
+        mode_ = Mode::LockSpinLoad;
         return;
 
       case Mode::LockSpinLoad:
-        cbArrived_ = false;
-        if (l1_.load(instr_.addr))
-            mode_ = Mode::LockSpinWait;
+        issue(l1_.load(instr_.addr), Mode::LockSpinWait);
         return;
 
       case Mode::LockSpinWait:
-        if (!cbArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
         if (cbValue_ == 0) {
             mode_ = Mode::LockLl;
         } else {
@@ -380,46 +377,28 @@ Core::tick(Cycle now)
         return;
 
       case Mode::UnlockStore:
-        if (l1_.store(instr_.addr, 0)) {
-            stats_.instructions++;
-            mode_ = Mode::Fetch;
-        }
+        if (l1_.store(instr_.addr, 0))
+            retire();
         return;
 
       // ----- sense-reversing barrier with ll/sc fetch-and-increment -----
       case Mode::BarLl:
-        cbArrived_ = false;
-        if (l1_.loadLinked(instr_.addr))
-            mode_ = Mode::BarLlWait;
+        issue(l1_.loadLinked(instr_.addr), Mode::BarLlWait);
         return;
 
       case Mode::BarLlWait:
-        if (!cbArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
         llValue_ = cbValue_;
         mode_ = Mode::BarSc;
         return;
 
       case Mode::BarSc:
-        cbArrived_ = false;
-        if (l1_.storeConditional(instr_.addr, llValue_ + 1))
-            mode_ = Mode::BarScWait;
+        issue(l1_.storeConditional(instr_.addr, llValue_ + 1),
+              Mode::BarScWait);
         return;
 
       case Mode::BarScWait:
-        if (!cbArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
         if (!cbSuccess_) {
-            scFails_ = std::min(scFails_ + 1, 8);
-            const std::uint64_t window =
-                static_cast<std::uint64_t>(config_.sc_backoff)
-                << scFails_;
-            busyUntil_ = now + 1 + rng_.nextBelow(window + 1);
-            mode_ = Mode::BarRetryPause;
+            backoff(now, Mode::BarRetryPause);
             return;
         }
         scFails_ = 0;
@@ -437,40 +416,26 @@ Core::tick(Cycle now)
         return;
 
       case Mode::BarReleaseStore:
-        if (l1_.store(instr_.addr + 64, mySense_)) {
-            stats_.barriers_passed++;
-            stats_.instructions++;
-            mode_ = Mode::Fetch;
-        }
+        if (l1_.store(instr_.addr + 64, mySense_))
+            passBarrier();
         return;
 
       case Mode::BarRetryPause:
-        if (now >= busyUntil_)
-            mode_ = Mode::BarLl;
+        mode_ = Mode::BarLl;
         return;
 
       case Mode::BarSpinPause:
-        if (now >= busyUntil_) {
-            stats_.spin_loops++;
-            mode_ = Mode::BarSpinLoad;
-        }
+        stats_.spin_loops++;
+        mode_ = Mode::BarSpinLoad;
         return;
 
       case Mode::BarSpinLoad:
-        cbArrived_ = false;
-        if (l1_.load(instr_.addr + 64))
-            mode_ = Mode::BarSpinWait;
+        issue(l1_.load(instr_.addr + 64), Mode::BarSpinWait);
         return;
 
       case Mode::BarSpinWait:
-        if (!cbArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
         if (cbValue_ == mySense_) {
-            stats_.barriers_passed++;
-            stats_.instructions++;
-            mode_ = Mode::Fetch;
+            passBarrier();
         } else {
             busyUntil_ = now + config_.spin_delay;
             mode_ = Mode::BarSpinPause;
@@ -493,11 +458,6 @@ Core::tick(Cycle now)
       }
 
       case Mode::SubLlWait:
-        if (!subDirectArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
-        subDirectArrived_ = false;
         if (instr_.op == Op::Lock) {
             if (subDirectValue_ == 0) {
                 mode_ = Mode::SubScSend;
@@ -510,9 +470,7 @@ Core::tick(Cycle now)
         FSOI_ASSERT(instr_.op == Op::Barrier);
         if (syncStep_ == 5) {
             if (subDirectValue_ == mySense_) {
-                stats_.barriers_passed++;
-                stats_.instructions++;
-                mode_ = Mode::Fetch;
+                passBarrier();
             } else {
                 stats_.spin_loops++;
                 mode_ = Mode::SubSpin;
@@ -532,16 +490,10 @@ Core::tick(Cycle now)
       }
 
       case Mode::SubScWait:
-        if (!subDirectArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
-        subDirectArrived_ = false;
         if (instr_.op == Op::Lock) {
             if (subDirectSuccess_) {
                 stats_.locks_acquired++;
-                stats_.instructions++;
-                mode_ = Mode::Fetch;
+                retire();
             } else {
                 syncStep_ = 0;
                 mode_ = Mode::SubLlSend;
@@ -563,24 +515,15 @@ Core::tick(Cycle now)
         }
         return;
 
-      case Mode::SubSpin: {
-        const Addr word = instr_.op == Op::Lock ? instr_.addr
-                                                : instr_.addr + 64;
-        const std::uint64_t want =
-            instr_.op == Op::Lock ? 0 : mySense_;
-        const auto it = subValues_.find(word);
-        if (it != subValues_.end() && it->second == want) {
-            if (instr_.op == Op::Lock) {
-                syncStep_ = 0;
-                mode_ = Mode::SubLlSend; // re-ll to refresh the link
-            } else {
-                stats_.barriers_passed++;
-                stats_.instructions++;
-                mode_ = Mode::Fetch;
-            }
+      case Mode::SubSpin:
+        // The watched word holds the wanted value.
+        if (instr_.op == Op::Lock) {
+            syncStep_ = 0;
+            mode_ = Mode::SubLlSend; // re-ll to refresh the link
+        } else {
+            passBarrier();
         }
         return;
-      }
 
       case Mode::SubStoreSend: {
         Addr word;
@@ -602,21 +545,13 @@ Core::tick(Cycle now)
       }
 
       case Mode::SubStoreWait:
-        if (!subDirectArrived_) {
-            stats_.stall_cycles++;
-            return;
-        }
-        subDirectArrived_ = false;
         if (instr_.op == Op::Unlock) {
-            stats_.instructions++;
-            mode_ = Mode::Fetch;
+            retire();
         } else if (syncStep_ == 3) {
             syncStep_ = 4;
             mode_ = Mode::SubStoreSend;
         } else {
-            stats_.barriers_passed++;
-            stats_.instructions++;
-            mode_ = Mode::Fetch;
+            passBarrier();
         }
         return;
     }

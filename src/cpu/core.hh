@@ -84,12 +84,6 @@ class Core
     bool done() const { return mode_ == Mode::Done; }
 
     /**
-     * Keep now_ fresh on skipped cycles: a Done core's tick() is
-     * exactly this store, so the System calls syncClock() instead.
-     */
-    void syncClock(Cycle now) { now_ = now; }
-
-    /**
      * Event-calendar contract: the next cycle this core must tick, or
      * kNoCycle for "only on delivery" (the System wakes a waiting core
      * when it delivers an L1 completion or a control bit). Always a
@@ -173,8 +167,37 @@ class Core
         SubSpin,
         SubStoreSend,
         SubStoreWait,
-        Done,
+        Done, //!< last: sizes the mode table (waitOf())
     };
+
+    /**
+     * What a mode waits for. The mode table (waitOf()) is the one
+     * description of it that the tick guard, the wake contract
+     * (nextEventCycle()) and the skipped-cycle accounting (catchUp(),
+     * syncStats()) read.
+     */
+    enum class Wait : std::uint8_t
+    {
+        Issue,   //!< fetch, issue and send steps: every cycle
+        Compute, //!< until busyUntil_, accruing active cycles
+        Pause,   //!< spin or sc-backoff pause until busyUntil_
+        L1,      //!< an L1 completion (complete()), accruing stalls
+        Reply,   //!< a direct sync reply (onControlBit()), accruing stalls
+        SubSpin, //!< the wanted value in the subscription table
+        Done,    //!< forever
+    };
+
+    static Wait waitOf(Mode mode);
+    /** A timed wait sleeps until busyUntil_; the others until a
+     *  delivery (or forever). */
+    static bool timed(Wait wait)
+    { return wait == Wait::Compute || wait == Wait::Pause; }
+    /** Whether a mode waiting for @p wait may move at cycle @p now. */
+    bool waitOver(Wait wait, Cycle now) const;
+    /** The counter @p wait accrues for each cycle it lasts, or null. */
+    Counter *waitCounter(Wait wait);
+    /** Account cycle @p now of a wait; true while the wait lasts. */
+    bool accrue(Wait wait, Cycle now);
 
     void fetch(Cycle now);
     void startInstr(Cycle now);
@@ -182,6 +205,21 @@ class Core
                   bool subscribe, bool unconditional);
     void catchUp(Cycle now);
     bool subSpinSatisfied() const;
+
+    /**
+     * An L1 issue step: @p accepted is the L1's answer to the access
+     * just made. Wait for its completion in @p wait, or retry next
+     * cycle. Clearing the rendezvous after the access is safe: the L1
+     * completes accesses only from its own tick().
+     */
+    void issue(bool accepted, Mode wait);
+    /** A failed sc: a random pause that doubles per consecutive
+     *  failure (up to 2^8 x sc_backoff), then @p pause's exit. */
+    void backoff(Cycle now, Mode pause);
+    /** Commit the current instruction and fetch the next. */
+    void retire();
+    /** Count the barrier passed and retire it. */
+    void passBarrier();
 
     NodeId node_;
     CoreConfig config_;

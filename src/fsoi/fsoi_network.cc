@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/due_list.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "fault/fault_model.hh"
@@ -236,31 +237,17 @@ FsoiNetwork::windowSlots(int retry) const
     return static_cast<int>(std::max(1.0, std::ceil(w)));
 }
 
-bool
-FsoiNetwork::reserveReplySlot(const Packet &request, Cycle now,
-                              Cycle &release_at)
+int
+FsoiNetwork::reserveSlot(NodeId node, int rx, std::uint64_t slot)
 {
-    // The data reply will come from request.dst back to request.src and
-    // land on receiver (request.dst mod R) of the requester.
-    const int data_slot = slotCycles(PacketClass::Data);
-    const int rx = static_cast<int>(request.dst)
-        % config_.receivers_per_lane;
-    const Cycle predicted = now + config_.predicted_reply_latency;
-    std::uint64_t slot = predicted / data_slot;
-    Cycle delay = 0;
-    // Shift the request until the predicted reply slot is free.
     for (int tries = 0; tries < 8; ++tries) {
-        const auto key = reservationKey(request.src, rx, slot + tries);
-        if (!reservations_.count(key)) {
-            reservations_.insert(key);
+        const auto key = reservationKey(node, rx, slot + tries);
+        if (reservations_.insert(key).second) {
             reservationLog_.push_back({slot + tries, key});
-            delay = static_cast<Cycle>(tries) * data_slot;
-            release_at = now + delay;
-            return true;
+            return tries;
         }
     }
-    release_at = now;
-    return false;
+    return -1;
 }
 
 bool
@@ -271,27 +258,28 @@ FsoiNetwork::send(Packet &&pkt)
     stampOnSend(pkt);
 
     Cycle release_at = pkt.created;
+    const int data_slot = slotCycles(PacketClass::Data);
     if (config_.request_spacing && pkt.cls == PacketClass::Meta
         && pkt.kind == PacketKind::Request) {
-        reserveReplySlot(pkt, pkt.created, release_at);
+        // The data reply will come from pkt.dst back to pkt.src and
+        // land on receiver (pkt.dst mod R) of the requester: delay the
+        // request until its predicted reply slot is free.
+        const int rx = static_cast<int>(pkt.dst)
+            % config_.receivers_per_lane;
+        const std::uint64_t slot =
+            (pkt.created + config_.predicted_reply_latency) / data_slot;
+        if (const int tries = reserveSlot(pkt.src, rx, slot); tries >= 0)
+            release_at += static_cast<Cycle>(tries) * data_slot;
     } else if (config_.request_spacing && pkt.cls == PacketClass::Data
                && pkt.kind == PacketKind::WriteBack) {
         // Split-transaction writeback: claim a slot at the home so the
         // data packet arrives expected rather than unannounced.
-        const int data_slot = slotCycles(PacketClass::Data);
         const int rx = static_cast<int>(pkt.src)
             % config_.receivers_per_lane;
-        std::uint64_t slot = alignUp(pkt.created + 1, data_slot)
-            / data_slot;
-        for (int tries = 0; tries < 8; ++tries) {
-            const auto key = reservationKey(pkt.dst, rx, slot + tries);
-            if (!reservations_.count(key)) {
-                reservations_.insert(key);
-                reservationLog_.push_back({slot + tries, key});
-                release_at = (slot + tries) * data_slot;
-                break;
-            }
-        }
+        const std::uint64_t slot =
+            alignUp(pkt.created + 1, data_slot) / data_slot;
+        if (const int tries = reserveSlot(pkt.dst, rx, slot); tries >= 0)
+            release_at = (slot + tries) * data_slot;
     }
     pkt.sched_delay = release_at - pkt.created;
 
@@ -319,31 +307,19 @@ FsoiNetwork::sendControlBit(NodeId src, NodeId dst, std::uint64_t tag)
 void
 FsoiNetwork::processControlBits(Cycle now)
 {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < controlBits_.size(); ++i) {
-        auto &evt = controlBits_[i];
-        if (evt.due <= now) {
-            auto &handler = controlBitHandlers_[evt.dst];
-            FSOI_ASSERT(handler != nullptr,
-                        "control bit to node %u without handler", evt.dst);
-            handler(evt.src, evt.tag);
-        } else {
-            controlBits_[keep++] = std::move(evt);
-        }
-    }
-    controlBits_.resize(keep);
+    drainDue(controlBits_, now, [this](const ControlBitEvent &evt) {
+        auto &handler = controlBitHandlers_[evt.dst];
+        FSOI_ASSERT(handler != nullptr,
+                    "control bit to node %u without handler", evt.dst);
+        handler(evt.src, evt.tag);
+        return true;
+    });
 }
 
 void
 FsoiNetwork::processConfirmations(Cycle now)
 {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < confirmations_.size(); ++i) {
-        auto &evt = confirmations_[i];
-        if (evt.due > now) {
-            confirmations_[keep++] = std::move(evt);
-            continue;
-        }
+    drainDue(confirmations_, now, [&](ConfirmEvent &evt) {
         if (evt.success) {
             activity_.confirmations++;
             FSOI_TRACE_POINT(TraceCat::Fsoi, 3, "confirm", now,
@@ -351,7 +327,7 @@ FsoiNetwork::processConfirmations(Cycle now)
             auto &handler = confirmHandlers_[evt.pkt.src];
             if (handler)
                 handler(evt.pkt);
-            continue;
+            return true;
         }
         // Missing confirmation: the sender now knows the packet
         // collided (or was eaten by a fault) and schedules a
@@ -392,8 +368,8 @@ FsoiNetwork::processConfirmations(Cycle now)
                          {"retry_at", retry_at});
         lane(pkt.src, pkt.cls).retries.push_back(
             RetryEntry{std::move(pkt), retry_at});
-    }
-    confirmations_.resize(keep);
+        return true;
+    });
 }
 
 CollisionCategory
@@ -686,13 +662,8 @@ FsoiNetwork::nextEventCycle(Cycle now) const
     if (config_.phase_array)
         return now + 1;
 
-    Cycle next = kNoCycle;
-    for (const auto &ev : confirmations_)
-        if (ev.due < next)
-            next = ev.due;
-    for (const auto &ev : controlBits_)
-        if (ev.due < next)
-            next = ev.due;
+    Cycle next =
+        std::min(nextDue(confirmations_, now), nextDue(controlBits_, now));
 
     // Slot machinery (resolve + start) only runs on a class's slot
     // boundary; between boundaries a tick is a no-op for that class.
@@ -718,9 +689,8 @@ FsoiNetwork::nextEventCycle(Cycle now) const
                 next = boundary;
         }
     }
-    if (next == kNoCycle || next <= now)
-        return now + 1;
-    return next;
+    // Defensive: in-flight work must always produce a finite wake.
+    return next == kNoCycle ? now + 1 : next;
 }
 
 /** Drop stale request-spacing reservations. */

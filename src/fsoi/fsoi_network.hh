@@ -264,9 +264,12 @@ class FsoiNetwork : public noc::Network
     static CollisionCategory classify(
         const std::vector<Transmission *> &colliders);
 
-    /** Request-spacing slot reservation at the destination. */
-    bool reserveReplySlot(const Packet &request, Cycle now,
-                          Cycle &release_at);
+    /**
+     * Request spacing: claim the first free data slot for receiver
+     * @p rx of @p node among the eight from @p slot on. Returns how
+     * many slots past @p slot it lies, or -1 when all eight are taken.
+     */
+    int reserveSlot(NodeId node, int rx, std::uint64_t slot);
 
     int windowSlots(int retry) const;
     int computeSlotCycles(PacketClass cls) const;

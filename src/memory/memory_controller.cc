@@ -75,22 +75,9 @@ void
 MemoryController::tick(Cycle now)
 {
     now_ = now;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < replies_.size(); ++i) {
-        auto &reply = replies_[i];
-        if (reply.ready_at <= now
-            && transport_.trySend(node_, reply.dst, reply.msg)) {
-            continue;
-        }
-        replies_[keep++] = std::move(reply);
-    }
-    replies_.resize(keep);
-}
-
-bool
-MemoryController::quiescent() const
-{
-    return replies_.empty();
+    drainDue(replies_, now, [this](const Reply &reply) {
+        return transport_.trySend(node_, reply.dst, reply.msg);
+    });
 }
 
 void
@@ -98,7 +85,7 @@ MemoryController::serialize(snapshot::Archive &ar)
 {
     ar(busyUntil_, now_);
     ar.seq(replies_, [&](Reply &reply) {
-        ar(reply.ready_at, reply.dst, reply.msg);
+        ar(reply.due, reply.dst, reply.msg);
     });
     ar(stats_.reads, stats_.writes, stats_.busy_cycles, stats_.queue_delay);
 }

@@ -13,12 +13,11 @@
 #ifndef FSOI_MEMORY_MEMORY_CONTROLLER_HH
 #define FSOI_MEMORY_MEMORY_CONTROLLER_HH
 
-#include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "coherence/message.hh"
 #include "coherence/transport.hh"
+#include "common/due_list.hh"
 #include "common/stats.hh"
 #include "obs/stat_registry.hh"
 
@@ -63,15 +62,13 @@ class MemoryController
 
     void tick(Cycle now);
 
-    bool quiescent() const;
-
     /**
-     * Active-set scheduling protocol (see L1Cache::active): tick()
-     * only drains replies_, so an empty reply list means the tick is
-     * skippable; handleMessage() refills it. busyUntil_ needs no
-     * ticking — it is only compared against now_ on arrival.
+     * True when no reply is in flight. tick() only drains replies_, so
+     * the System leaves a quiescent controller unscheduled;
+     * handleMessage() refills the list. busyUntil_ needs no ticking —
+     * it is only compared against now_ on arrival.
      */
-    bool active() const { return !replies_.empty(); }
+    bool quiescent() const { return replies_.empty(); }
 
     /** Keep now_ fresh on skipped cycles (what an idle tick() did). */
     void syncClock(Cycle now) { now_ = now; }
@@ -80,14 +77,7 @@ class MemoryController
      * Event-calendar contract: earliest reply ready time (clamped to
      * the future), or kNoCycle when no reply is in flight.
      */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        Cycle next = kNoCycle;
-        for (const Reply &reply : replies_)
-            next = std::min(next, std::max(reply.ready_at, now + 1));
-        return next;
-    }
+    Cycle nextEventCycle(Cycle now) const { return nextDue(replies_, now); }
 
     /** Checkpoint/restore (snapshot/serialize.hh). */
     void serialize(snapshot::Archive &ar);
@@ -95,7 +85,7 @@ class MemoryController
   private:
     struct Reply
     {
-        Cycle ready_at;
+        Cycle due; //!< sent from this cycle on (service + DRAM latency)
         NodeId dst;
         coherence::Message msg;
     };

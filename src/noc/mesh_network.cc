@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "common/due_list.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "fault/fault_model.hh"
@@ -589,16 +590,9 @@ MeshNetwork::nextEventCycle(Cycle now) const
         if (next <= now + 1)
             return now + 1;
     }
-    for (const auto &pd : pending_)
-        if (pd.due < next)
-            next = pd.due;
-    for (const auto &ev : retxQueue_)
-        if (ev.due < next)
-            next = ev.due;
+    next = std::min({next, nextDue(pending_, now), nextDue(retxQueue_, now)});
     // Defensive: in-flight work must always produce a finite wake.
-    if (next == kNoCycle)
-        return now + 1;
-    return next < now + 1 ? now + 1 : next;
+    return next == kNoCycle ? now + 1 : next;
 }
 
 void
@@ -633,19 +627,12 @@ MeshNetwork::tick(Cycle now)
     }
 
     // Deliver packets whose tail ejected.
-    {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < pending_.size(); ++i) {
-            if (pending_[i].due <= now) {
-                deliver(pkts_[pending_[i].pkt]);
-                pkts_.release(pending_[i].pkt);
-                --packetsInFlight_;
-            } else {
-                pending_[keep++] = pending_[i];
-            }
-        }
-        pending_.resize(keep);
-    }
+    drainDue(pending_, now, [this](const PendingDelivery &pd) {
+        deliver(pkts_[pd.pkt]);
+        pkts_.release(pd.pkt);
+        --packetsInFlight_;
+        return true;
+    });
 
     const int half = config_.num_vcs / 2;
 
@@ -844,25 +831,17 @@ MeshNetwork::tick(Cycle now)
     // Re-inject NACKed packets whose round trip has elapsed. They go
     // back into the source's lane queue (past the capacity check: the
     // packet is already accounted for in packetsInFlight_).
-    if (!retxQueue_.empty()) {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < retxQueue_.size(); ++i) {
-            if (retxQueue_[i].due <= now) {
-                Packet &pkt = retxQueue_[i].pkt;
-                FSOI_TRACE_POINT(TraceCat::Noc, 2, "retx_inject", now,
-                                 pkt.src, {"id", pkt.id},
-                                 {"retries",
-                                  static_cast<std::uint64_t>(
-                                      pkt.retries)});
-                injWake_[pkt.src >> 6] |= 1ull << (pkt.src & 63);
-                injectors_[pkt.src].lanes[static_cast<int>(pkt.cls)]
-                    .queue.push_back(std::move(pkt));
-            } else {
-                retxQueue_[keep++] = std::move(retxQueue_[i]);
-            }
-        }
-        retxQueue_.resize(keep);
-    }
+    drainDue(retxQueue_, now, [&](RetxEvent &ev) {
+        Packet &pkt = ev.pkt;
+        FSOI_TRACE_POINT(TraceCat::Noc, 2, "retx_inject", now, pkt.src,
+                         {"id", pkt.id},
+                         {"retries",
+                          static_cast<std::uint64_t>(pkt.retries)});
+        injWake_[pkt.src >> 6] |= 1ull << (pkt.src & 63);
+        injectors_[pkt.src].lanes[static_cast<int>(pkt.cls)]
+            .queue.push_back(std::move(pkt));
+        return true;
+    });
 
     tickInjection(now);
 }

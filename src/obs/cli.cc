@@ -1,5 +1,7 @@
 #include "obs/cli.hh"
 
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -32,6 +34,21 @@ parseFlagInt(const char *name, const char *v, std::uint64_t min,
               static_cast<unsigned long long>(max), v);
     }
     return n;
+}
+
+double
+parseFlagReal(const char *name, const char *v)
+{
+    // Decimal digits, a point and an exponent only: strtod alone would
+    // also read a sign, leading space, "inf", "nan" and hex floats.
+    bool ok = (v[0] >= '0' && v[0] <= '9') || v[0] == '.';
+    for (const char *c = v; ok && *c != '\0'; ++c)
+        ok = (*c >= '0' && *c <= '9') || std::strchr(".eE+-", *c);
+    char *end = nullptr;
+    const double x = ok ? std::strtod(v, &end) : 0.0;
+    if (!ok || *end != '\0' || !std::isfinite(x) || x <= 0.0)
+        fatal("%s wants a positive decimal number, got '%s'", name, v);
+    return x;
 }
 
 CliOptions

@@ -24,7 +24,9 @@
  * The numeric flags (--seed, --stats-interval, --checkpoint-every)
  * take a positive decimal integer written out in full (parseFlagInt).
  * Anything else — "1e6", "10k", "-5", "0x10", an empty value, zero —
- * is a fatal error naming the flag.
+ * is a fatal error naming the flag. Positional numbers (a core count,
+ * a workload scale) parse as strictly: parseFlagInt, or parseFlagReal
+ * for a real.
  *
  * Tracing is configured through the environment (FSOI_TRACE /
  * FSOI_TRACE_FILE), not argv, so it works identically under ctest,
@@ -80,6 +82,15 @@ const char *flagValue(const char *arg, const char *name);
 std::uint64_t parseFlagInt(
     const char *name, const char *v, std::uint64_t min,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * Strict real value @p v of flag or argument @p name: the whole
+ * string is a positive finite decimal number as strtod reads it
+ * ("0.25", "2", "1e-10"), with no sign, space, "inf", "nan" or hex
+ * form. Anything else, zero included, is a fatal error naming it, so
+ * a mistyped scale cannot quietly become 0 or the default.
+ */
+double parseFlagReal(const char *name, const char *v);
 
 } // namespace fsoi::obs
 

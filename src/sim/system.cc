@@ -636,11 +636,11 @@ System::initScheduler()
         }
         if (dirs_[n]->active())
             wake(WakeKind::Dir, n);
-        if (l1s_[n]->active())
+        if (!l1s_[n]->quiescent())
             wake(WakeKind::L1, n);
     }
     for (int m = 0; m < config_.num_memctls; ++m) {
-        if (memctls_[m]->active())
+        if (!memctls_[m]->quiescent())
             wake(WakeKind::Mem, m);
     }
     schedExecuted_ = 0;

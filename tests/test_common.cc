@@ -8,7 +8,9 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "common/due_list.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -263,6 +265,68 @@ TEST(TextTable, NumberFormatting)
 {
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(TextTable::pct(0.123, 1), "12.3%");
+}
+
+struct DueEntry
+{
+    Cycle due;
+    int id;
+};
+
+std::vector<int>
+ids(const std::vector<DueEntry> &list)
+{
+    std::vector<int> out;
+    for (const DueEntry &e : list)
+        out.push_back(e.id);
+    return out;
+}
+
+TEST(DueList, DueEntriesHandedOverOldestFirst)
+{
+    // Oldest = earliest queued, whatever the due cycles' order.
+    std::vector<DueEntry> list{{5, 0}, {3, 1}, {9, 2}, {5, 3}};
+    std::vector<int> seen;
+    drainDue(list, 5, [&seen](const DueEntry &e) {
+        seen.push_back(e.id);
+        return true;
+    });
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 3}));
+    EXPECT_EQ(ids(list), (std::vector<int>{2}));
+}
+
+TEST(DueList, DeclinedAndFutureEntriesKeptInOrder)
+{
+    std::vector<DueEntry> list{{1, 0}, {8, 1}, {2, 2}, {1, 3}, {9, 4}};
+    // Entry 2 is a send the transport refused: it stays queued.
+    drainDue(list, 4, [](const DueEntry &e) { return e.id != 2; });
+    EXPECT_EQ(ids(list), (std::vector<int>{1, 2, 4}));
+    std::vector<int> seen;
+    drainDue(list, 8, [&seen](const DueEntry &e) {
+        seen.push_back(e.id);
+        return true;
+    });
+    EXPECT_EQ(seen, (std::vector<int>{1, 2}));
+    EXPECT_EQ(ids(list), (std::vector<int>{4}));
+}
+
+TEST(DueList, EmptyListHasNoDue)
+{
+    std::vector<DueEntry> list;
+    EXPECT_EQ(nextDue(list, 10), kNoCycle);
+    list.push_back({3, 0});
+    drainDue(list, 3, [](const DueEntry &) { return true; });
+    EXPECT_TRUE(list.empty());
+    EXPECT_EQ(nextDue(list, 3), kNoCycle);
+}
+
+TEST(DueList, NextDueIsEarliestClampedToNextCycle)
+{
+    const std::vector<DueEntry> list{{12, 0}, {7, 1}, {30, 2}};
+    EXPECT_EQ(nextDue(list, 4), 7u);
+    // A due now or past (a declined send) retries next cycle.
+    EXPECT_EQ(nextDue(list, 7), 8u);
+    EXPECT_EQ(nextDue(list, 20), 21u);
 }
 
 } // namespace

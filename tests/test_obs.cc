@@ -324,6 +324,19 @@ TEST(CliOptions, FlagIntHonoursItsRange)
                  "--cores");
 }
 
+TEST(CliOptions, FlagRealWantsAPositiveDecimal)
+{
+    EXPECT_EQ(parseFlagReal("scale", "0.25"), 0.25);
+    EXPECT_EQ(parseFlagReal("scale", "2"), 2.0);
+    EXPECT_EQ(parseFlagReal("target_ber", "1e-10"), 1e-10);
+    for (const char *bad : {"abc", "0", "-1", "1e", "nan", "inf", "", "+1",
+                            " 1", "0x1p3", "1e999", "0.0", ".", "1.5x"}) {
+        EXPECT_DEATH(parseFlagReal("scale", bad),
+                     "fatal: scale wants a positive decimal number")
+            << "'" << bad << "'";
+    }
+}
+
 TEST(CliOptions, UnrecognisedArgumentsKeptInOrder)
 {
     std::vector<std::string> rest;

@@ -25,7 +25,8 @@
  *
  * Integer values are plain decimal (obs::parseFlagInt); a sign, a
  * suffix or a value below the flag's minimum (1, or 0 for --jobs,
- * --seed and --warmup) is a fatal flag error.
+ * --seed and --warmup) is a fatal flag error. --scale is a positive
+ * decimal number (obs::parseFlagReal).
  *
  * Warm-start mode (--warmup): a horizon sweep sharing one warmed-up
  * snapshot. All points then use the SAME seed (warmup prefixes must be
@@ -38,7 +39,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -57,6 +57,7 @@ namespace {
 
 using obs::flagValue;
 using obs::parseFlagInt;
+using obs::parseFlagReal;
 
 /** An int-valued flag: parseFlagInt capped at INT_MAX. */
 int
@@ -99,7 +100,7 @@ main(int argc, char **argv)
         else if (const char *v = flagValue(arg, "--seed"))
             seed = parseFlagInt("--seed", v, 0);
         else if (const char *v = flagValue(arg, "--scale"))
-            scale = std::atof(v);
+            scale = parseFlagReal("--scale", v);
         else if (const char *v = flagValue(arg, "--jobs"))
             cc.jobs = intFlag("--jobs", v, 0);
         else if (const char *v = flagValue(arg, "--checkpoint-every"))
