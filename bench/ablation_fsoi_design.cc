@@ -7,8 +7,7 @@
  *  - backoff base B (1.1 vs 2.0): Figure 4's over-correction argument
  *    at the system level;
  *  - Section 5 optimizations one at a time (confirmation-as-ack,
- *    ll/sc subscription, data-collision measures);
- *  - per-line confirmation gating (the point-to-point ordering cost).
+ *    ll/sc subscription, data-collision measures).
  *
  * Each row runs a sync- and sharing-heavy subset of the workloads on
  * the 16-node system and reports execution cycles (normalized to the

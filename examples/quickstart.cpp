@@ -6,8 +6,9 @@
  *
  *   ./quickstart [app] [cores]
  *
- * cores is a plain decimal integer of at least 4 (obs::parseFlagInt);
- * the mesh layouts want a perfect square.
+ * cores is a plain decimal integer (obs::parseFlagInt) that
+ * SystemConfig::paperConfig accepts: a perfect square from 4 to 64;
+ * anything else stops with a fatal error naming cores.
  *
  * Also takes the shared observability knobs (see obs/cli.hh): e.g.
  * `--stats-json=run.jsonl --stats-interval=10000` emits a per-epoch

@@ -1,10 +1,7 @@
 #include "coherence/directory.hh"
-#include <cstdio>
-#include <cstdlib>
-
-#include <bit>
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -103,9 +100,9 @@ void
 Directory::openTxn(Addr line_addr, Txn txn)
 {
     if (flightRec_ && flightRec_->enabled()) {
-        flightRec_->beginTransaction(
-            obs::FlightEventKind::DirTxnStart, now_, node_, line_addr,
-            static_cast<std::uint8_t>(txn.kind));
+        flightRec_->record(obs::FlightEventKind::DirTxnStart, now_, node_,
+                           kInvalidNode, line_addr,
+                           static_cast<std::uint8_t>(txn.kind));
     }
     int idx = txns_.find(line_addr);
     if (idx < 0) {
@@ -120,10 +117,9 @@ void
 Directory::closeTxn(int idx)
 {
     if (flightRec_ && flightRec_->enabled()) {
-        flightRec_->endTransaction(
-            obs::FlightEventKind::DirTxnEnd, now_, node_,
-            txns_.lineAt(idx),
-            static_cast<std::uint8_t>(txns_.at(idx).kind));
+        flightRec_->record(obs::FlightEventKind::DirTxnEnd, now_, node_,
+                           kInvalidNode, txns_.lineAt(idx),
+                           static_cast<std::uint8_t>(txns_.at(idx).kind));
     }
     txns_.release(idx);
 }
@@ -148,20 +144,13 @@ Directory::sendNack(const Message &msg)
 void
 Directory::handleMessage(const Message &msg)
 {
-    switch (msg.type) {
-      case MsgType::ReqSh:
-      case MsgType::ReqEx:
-      case MsgType::ReqUpg:
-      case MsgType::SyncLl:
-      case MsgType::SyncSc:
-        if (inQueue_.size()
+    // A full request queue NACKs requests; acknowledgments, data and
+    // fills are always accepted.
+    if (packetKindOf(msg.type) == noc::PacketKind::Request
+        && inQueue_.size()
             >= static_cast<std::size_t>(config_.request_queue)) {
-            sendNack(msg);
-            return;
-        }
-        break;
-      default:
-        break; // acknowledgments, data and fills are always accepted
+        sendNack(msg);
+        return;
     }
     if (msg.type == MsgType::InvAck || msg.type == MsgType::InvAckData)
         FSOI_TRACE_POINT(TraceCat::Coherence, 3, "enq_invack", now_,
@@ -840,25 +829,25 @@ Directory::serialize(snapshot::Archive &ar)
        stats_.l2_accesses);
 }
 
-} // namespace fsoi::coherence
-
-namespace fsoi::coherence {
-
 void
-Directory::debugDump() const
+Directory::writeJson(std::ostream &os) const
 {
-    std::fprintf(stderr, "Dir[%u]: %zu txns, %zu inQueue, %zu outbox, "
-                 "%zu deferred\n",
-                 node_, txns_.size(), inQueue_.size(), outbox_.size(),
-                 deferredFills_.size());
+    os << "{\"node\":" << node_ << ",\"in_queue\":" << inQueue_.size()
+       << ",\"outbox\":" << outbox_.size() << ",\"deferred_fills\":"
+       << deferredFills_.size() << ",\"txns\":[";
+    const char *sep = "";
     txns_.forEach([&](Addr line, const Txn &txn) {
-        std::fprintf(stderr,
-                     "  txn line=%llx kind=%d req=%u acks=%d grant=%d "
-                     "pending=%zu state=%s\n",
-                     (unsigned long long)line, (int)txn.kind,
-                     txn.requester, txn.acks_pending, (int)txn.grant_type,
-                     txn.pending.size(), dirStateName(lineState(line)));
+        os << sep << "{\"kind\":\"dir_txn\",\"node\":" << node_
+           << ",\"line\":" << line << ",\"txn\":\""
+           << txnKindName(static_cast<std::uint8_t>(txn.kind)) << "\"";
+        if (txn.requester != kInvalidNode)
+            os << ",\"requester\":" << txn.requester;
+        os << ",\"acks_pending\":" << txn.acks_pending << ",\"queued\":"
+           << txn.pending.size() << ",\"state\":\""
+           << dirStateName(lineState(line)) << "\"}";
+        sep = ",";
     });
+    os << "]}";
 }
 
 } // namespace fsoi::coherence

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <ostream>
 #include <unordered_map>
 #include <vector>
 
@@ -102,8 +103,9 @@ class Directory
     /** Publish this directory's stats under @p scope (e.g. dir3). */
     void registerStats(const obs::Scope &scope) const;
 
-    /** Register every transaction with the System's flight recorder
-     *  (nullptr = off). The recorder must outlive this directory. */
+    /** Record every transaction's start and end in the System's
+     *  flight recorder (nullptr = off). The recorder must outlive this
+     *  directory. */
     void setFlightRecorder(obs::FlightRecorder *rec)
     { flightRec_ = rec; }
 
@@ -155,8 +157,13 @@ class Directory
         return nextDue(outbox_, now);
     }
 
-    /** Print outstanding state to stderr (watchdog diagnostics). */
-    void debugDump() const;
+    /**
+     * This slice's post-mortem as one JSON object: queue depths and
+     * every open transaction ("kind":"dir_txn", node, line, txn kind,
+     * requester, acks pending, queued requests, line state). The
+     * System's flight-recorder context writer calls it.
+     */
+    void writeJson(std::ostream &os) const;
 
     /** Directory state of a line (tests / invariants). */
     DirState lineState(Addr addr) const;
@@ -239,10 +246,10 @@ class Directory
         std::uint64_t subscribers = 0;
     };
 
-    /** Insert @p txn for @p line_addr, logging DirTxnStart. All
+    /** Insert @p txn for @p line_addr, recording DirTxnStart. All
      *  transaction creation funnels through here. */
     void openTxn(Addr line_addr, Txn txn);
-    /** Free transaction slot @p idx, logging DirTxnEnd. */
+    /** Free transaction slot @p idx, recording DirTxnEnd. */
     void closeTxn(int idx);
 
     void queueSend(NodeId dst, const Message &msg, int latency);

@@ -1,6 +1,4 @@
 #include "coherence/l1_cache.hh"
-#include <cstdio>
-#include <cstdlib>
 
 #include <algorithm>
 
@@ -124,9 +122,9 @@ L1Cache::issueRequest(Addr line, Mshr &mshr)
     if (mshr.created == 0) {
         mshr.created = now_;
         if (flightRec_ && flightRec_->enabled()) {
-            flightRec_->beginTransaction(
-                obs::FlightEventKind::MshrAlloc, now_, node_, line,
-                static_cast<std::uint8_t>(mshr.want));
+            flightRec_->record(obs::FlightEventKind::MshrAlloc, now_,
+                               node_, kInvalidNode, line,
+                               static_cast<std::uint8_t>(mshr.want));
         }
     }
 }
@@ -297,9 +295,9 @@ L1Cache::finishMshr(Addr line, L1State granted)
     Mshr mshr = mshrs_.release(idx);
     stats_.miss_latency.add(static_cast<double>(now_ - mshr.created));
     if (flightRec_ && flightRec_->enabled()) {
-        flightRec_->endTransaction(
-            obs::FlightEventKind::MshrFree, now_, node_, line,
-            static_cast<std::uint8_t>(granted));
+        flightRec_->record(obs::FlightEventKind::MshrFree, now_, node_,
+                           kInvalidNode, line,
+                           static_cast<std::uint8_t>(granted));
     }
 
     auto *ln = array_.find(line);
@@ -727,29 +725,33 @@ L1Cache::quiescent() const
         && pendingDone_.empty() && deferredData_.empty();
 }
 
-} // namespace fsoi::coherence
-
-namespace fsoi::coherence {
-
 void
-L1Cache::debugDump() const
+L1Cache::writeJson(std::ostream &os, Cycle now) const
 {
-    std::fprintf(stderr, "L1[%u]: %zu mshrs, %zu stores, %zu outbox, "
-                 "%zu pendingDone, %zu deferred\n",
-                 node_, mshrs_.size(), storeBuffer_.size(), outbox_.size(),
-                 pendingDone_.size(), deferredData_.size());
-    mshrs_.forEach([](Addr line, const Mshr &mshr) {
-        std::fprintf(stderr,
-                     "  mshr line=%llx want=%d outstanding=%d retry_at=%llu"
-                     " inv_pend=%d dwg_pend=%d store_pend=%d sc=%d "
-                     "loads=%zu\n",
-                     (unsigned long long)line, (int)mshr.want,
-                     (int)mshr.request_outstanding,
-                     (unsigned long long)mshr.retry_at,
-                     (int)mshr.inv_pending, (int)mshr.dwg_pending,
-                     (int)mshr.store_pending, (int)mshr.is_sc,
-                     mshr.loads.size());
+    const auto flag = [](bool b) { return b ? "true" : "false"; };
+    os << "{\"node\":" << node_ << ",\"store_buffer\":"
+       << storeBuffer_.size() << ",\"outbox\":" << outbox_.size()
+       << ",\"pending_done\":" << pendingDone_.size()
+       << ",\"deferred_fills\":" << deferredData_.size()
+       << ",\"mshrs\":[";
+    const char *sep = "";
+    mshrs_.forEach([&](Addr line, const Mshr &mshr) {
+        os << sep << "{\"kind\":\"mshr\",\"node\":" << node_
+           << ",\"line\":" << line << ",\"want\":\""
+           << wantName(static_cast<std::uint8_t>(mshr.want))
+           << "\",\"since\":" << mshr.created << ",\"age\":"
+           << (now >= mshr.created ? now - mshr.created : 0)
+           << ",\"request_outstanding\":"
+           << flag(mshr.request_outstanding);
+        if (mshr.retry_at != kNoCycle)
+            os << ",\"retry_at\":" << mshr.retry_at;
+        os << ",\"store_pending\":" << flag(mshr.store_pending)
+           << ",\"inv_pending\":" << flag(mshr.inv_pending)
+           << ",\"dwg_pending\":" << flag(mshr.dwg_pending)
+           << ",\"loads\":" << mshr.loads.size() << "}";
+        sep = ",";
     });
+    os << "]}";
 }
 
 } // namespace fsoi::coherence

@@ -26,6 +26,7 @@
 
 #include <deque>
 #include <functional>
+#include <ostream>
 #include <vector>
 
 #include "coherence/cache_array.hh"
@@ -109,8 +110,8 @@ class L1Cache
     /** Publish this cache's stats under @p scope (e.g. core3.l1). */
     void registerStats(const obs::Scope &scope) const;
 
-    /** Register every miss with the System's flight recorder (nullptr
-     *  = off). The recorder must outlive this cache. */
+    /** Record every miss's start and end in the System's flight
+     *  recorder (nullptr = off). The recorder must outlive this cache. */
     void setFlightRecorder(obs::FlightRecorder *rec)
     { flightRec_ = rec; }
 
@@ -168,8 +169,13 @@ class L1Cache
 
     std::size_t outstandingMisses() const { return mshrs_.size(); }
 
-    /** Print outstanding state to stderr (watchdog diagnostics). */
-    void debugDump() const;
+    /**
+     * This controller's post-mortem as one JSON object: queue depths
+     * and every MSHR ("kind":"mshr", node, line, want, since = miss
+     * start, age at @p now, retry and pending flags). The System's
+     * flight-recorder context writer calls it.
+     */
+    void writeJson(std::ostream &os, Cycle now) const;
 
     /** Printable name for an MSHR want value (flight-recorder dumps). */
     static const char *wantName(std::uint8_t want);

@@ -13,6 +13,7 @@
 #ifndef FSOI_COHERENCE_MESSAGE_HH
 #define FSOI_COHERENCE_MESSAGE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -56,29 +57,114 @@ enum class MsgType : std::uint8_t
     MemReply,   //!< DRAM fill (data)
 };
 
-const char *msgTypeName(MsgType type);
+/** The controller a core node hands a message type to on delivery. */
+enum class Controller : std::uint8_t
+{
+    Directory, //!< the node's directory slice
+    L1,        //!< the node's L1
+    None,      //!< memory-controller traffic (routed by node) or unsent
+};
+
+/** What is fixed about one message type: one row of kMsgTypes. */
+struct MsgTypeInfo
+{
+    const char *name;
+    noc::PacketClass cls;  //!< meta or data packet
+    noc::PacketKind kind;  //!< Figure 10 collision classification
+    Controller receiver;   //!< who takes it at a core node
+};
+
+/** MemReply is the last enumerator. */
+inline constexpr std::size_t kNumMsgTypes =
+    static_cast<std::size_t>(MsgType::MemReply) + 1;
+
+/**
+ * One row per MsgType, in enumerator order: the one description of
+ * each type that naming, packet marshalling, delivery routing and the
+ * directory's request-queue limit (kind Request) all read. SyncReply
+ * keeps its row and enumerator although nothing sends it: a
+ * checkpointed Message stores its type as this number.
+ */
+inline constexpr MsgTypeInfo kMsgTypes[kNumMsgTypes] = {
+    {"ReqSh", noc::PacketClass::Meta, noc::PacketKind::Request,
+     Controller::Directory},
+    {"ReqEx", noc::PacketClass::Meta, noc::PacketKind::Request,
+     Controller::Directory},
+    {"ReqUpg", noc::PacketClass::Meta, noc::PacketKind::Request,
+     Controller::Directory},
+    {"SyncLl", noc::PacketClass::Meta, noc::PacketKind::Request,
+     Controller::Directory},
+    {"SyncSc", noc::PacketClass::Meta, noc::PacketKind::Request,
+     Controller::Directory},
+    {"DataS", noc::PacketClass::Data, noc::PacketKind::Reply,
+     Controller::L1},
+    {"DataE", noc::PacketClass::Data, noc::PacketKind::Reply,
+     Controller::L1},
+    {"DataM", noc::PacketClass::Data, noc::PacketKind::Reply,
+     Controller::L1},
+    {"ExcAck", noc::PacketClass::Meta, noc::PacketKind::Ack,
+     Controller::L1},
+    {"Nack", noc::PacketClass::Meta, noc::PacketKind::Control,
+     Controller::L1},
+    {"SyncReply", noc::PacketClass::Meta, noc::PacketKind::Control,
+     Controller::None},
+    {"Inv", noc::PacketClass::Meta, noc::PacketKind::Control,
+     Controller::L1},
+    {"Dwg", noc::PacketClass::Meta, noc::PacketKind::Control,
+     Controller::L1},
+    {"InvAck", noc::PacketClass::Meta, noc::PacketKind::Ack,
+     Controller::Directory},
+    {"InvAckData", noc::PacketClass::Data, noc::PacketKind::WriteBack,
+     Controller::Directory},
+    {"DwgAck", noc::PacketClass::Meta, noc::PacketKind::Ack,
+     Controller::Directory},
+    {"DwgAckData", noc::PacketClass::Data, noc::PacketKind::WriteBack,
+     Controller::Directory},
+    {"WriteBack", noc::PacketClass::Data, noc::PacketKind::WriteBack,
+     Controller::Directory},
+    {"MemRead", noc::PacketClass::Meta, noc::PacketKind::MemRequest,
+     Controller::None},
+    {"MemWrite", noc::PacketClass::Data, noc::PacketKind::MemRequest,
+     Controller::None},
+    {"MemReply", noc::PacketClass::Data, noc::PacketKind::MemReply,
+     Controller::Directory},
+};
+
+static_assert(
+    [] {
+        for (const MsgTypeInfo &row : kMsgTypes)
+            if (row.name == nullptr)
+                return false;
+        return true;
+    }(),
+    "every MsgType has a row in kMsgTypes");
+
+inline const MsgTypeInfo &
+msgTypeInfo(MsgType type)
+{
+    return kMsgTypes[static_cast<std::size_t>(type)];
+}
+
+inline const char *
+msgTypeName(MsgType type)
+{
+    return static_cast<std::size_t>(type) < kNumMsgTypes
+        ? msgTypeInfo(type).name : "?";
+}
 
 /** True for message types that travel as data packets. */
 inline bool
 isDataMessage(MsgType type)
 {
-    switch (type) {
-      case MsgType::DataS:
-      case MsgType::DataE:
-      case MsgType::DataM:
-      case MsgType::InvAckData:
-      case MsgType::DwgAckData:
-      case MsgType::WriteBack:
-      case MsgType::MemWrite:
-      case MsgType::MemReply:
-        return true;
-      default:
-        return false;
-    }
+    return msgTypeInfo(type).cls == noc::PacketClass::Data;
 }
 
 /** Packet kind used for the Figure 10 collision classification. */
-noc::PacketKind packetKindOf(MsgType type);
+inline noc::PacketKind
+packetKindOf(MsgType type)
+{
+    return msgTypeInfo(type).kind;
+}
 
 /** The protocol message carried in a packet payload. */
 struct Message

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <initializer_list>
 
 #include "coherence/directory.hh"
@@ -577,18 +576,18 @@ Core::serialize(snapshot::Archive &ar)
 }
 
 void
-Core::debugDump() const
+Core::writeJson(std::ostream &os) const
 {
-    std::fprintf(stderr,
-                 "core %u: mode=%d op=%d addr=%llx step=%d instr=%llu "
-                 "waitdirect=%d waitword=%llx mysense=%llu llv=%llu\n",
-                 node_, (int)mode_, (int)instr_.op,
-                 (unsigned long long)instr_.addr, syncStep_,
-                 (unsigned long long)stats_.instructions.value(),
-                 (int)subWaitingDirect_,
-                 (unsigned long long)subWaitWord_,
-                 (unsigned long long)mySense_,
-                 (unsigned long long)llValue_);
+    os << "{\"node\":" << node_ << ",\"done\":"
+       << (done() ? "true" : "false") << ",\"mode\":"
+       << static_cast<int>(mode_) << ",\"op\":"
+       << static_cast<int>(instr_.op) << ",\"addr\":" << instr_.addr
+       << ",\"instructions\":" << stats_.instructions.value()
+       << ",\"sync_step\":" << syncStep_ << ",\"sense\":" << mySense_
+       << ",\"ll_value\":" << llValue_;
+    if (subWaitingDirect_)
+        os << ",\"sub_wait_word\":" << subWaitWord_;
+    os << "}";
 }
 
 } // namespace fsoi::cpu

@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <unordered_map>
 
 #include "coherence/l1_cache.hh"
@@ -119,8 +120,9 @@ class Core
     /** Subscription side-channel delivery (wired up by the System). */
     void onControlBit(std::uint64_t tag);
 
-    /** Print execution state to stderr (watchdog diagnostics). */
-    void debugDump() const;
+    /** This core's post-mortem as one JSON object (mode and op by
+     *  enumerator number); the flight recorder's context writer. */
+    void writeJson(std::ostream &os) const;
 
     /**
      * Checkpoint/restore (snapshot/serialize.hh). The instruction

@@ -10,8 +10,6 @@
 #include "fault/fault_model.hh"
 #include "snapshot/serialize.hh"
 
-#include <cstdio>
-
 namespace fsoi::noc {
 
 namespace {
@@ -847,70 +845,51 @@ MeshNetwork::tick(Cycle now)
 }
 
 void
-MeshNetwork::debugDump() const
-{
-    std::fprintf(stderr, "mesh: %llu packets in flight, now=%llu\n",
-                 (unsigned long long)packetsInFlight_,
-                 (unsigned long long)now());
-    for (const Router &router : routers_) {
-        for (std::size_t p = 0; p < router.in.size(); ++p) {
-            for (int v = 0; v < config_.num_vcs; ++v) {
-                const auto &vc = router.in[p].vcs[v];
-                if (vc.empty())
-                    continue;
-                const auto &f = vc.front();
-                const Packet &pkt = pkts_[f.pkt];
-                std::fprintf(stderr,
-                             "  r%d in%zu vc%d: %d flits, front pkt %llu "
-                             "%s->%u head=%d tail=%d ready=%llu outp=%d "
-                             "outvc=%d\n",
-                             router.id, p, v, vc.count,
-                             (unsigned long long)pkt.id,
-                             pkt.cls == PacketClass::Meta ? "M" : "D",
-                             pkt.dst, (int)f.head, (int)f.tail,
-                             (unsigned long long)f.ready_at, vc.out_port,
-                             vc.out_vc);
-            }
-        }
-        for (std::size_t o = 0; o < router.out.size(); ++o) {
-            const auto &op = router.out[o];
-            for (int v = 0; v < config_.num_vcs; ++v) {
-                if (op.vc_busy[v])
-                    std::fprintf(stderr,
-                                 "  r%d out%zu vc%d busy credits=%d\n",
-                                 router.id, o, v,
-                                 op.local ? -1 : op.credits[v]);
-            }
-        }
-    }
-    for (std::size_t ep = 0; ep < injectors_.size(); ++ep) {
-        const auto &inj = injectors_[ep];
-        for (int c = 0; c < 2; ++c) {
-            if (inj.active[c] != kNullPkt || !inj.lanes[c].queue.empty())
-                std::fprintf(stderr,
-                             "  inj %zu class %d: queue=%zu active=%d "
-                             "remaining=%d vc=%d\n",
-                             ep, c, inj.lanes[c].queue.size(),
-                             (int)(inj.active[c] != kNullPkt),
-                             inj.remaining[c], inj.vc[c]);
-        }
-    }
-}
-
-void
 MeshNetwork::writeLinkStateJson(std::ostream &os) const
 {
+    const auto port = [&os](int p) {
+        if (p < 0)
+            os << "null"; // not routed yet
+        else if (p < kFirstLocal)
+            os << "\"" << kDirectionNames[p] << "\"";
+        else
+            os << "\"local" << (p - kFirstLocal) << "\"";
+    };
+    const auto flag = [](bool b) { return b ? "true" : "false"; };
     os << "{\"packets_in_flight\":" << packetsInFlight_
        << ",\"retx_queued\":" << retxQueue_.size()
        << ",\"routers\":[";
-    bool sep = false;
+    const char *sep = "";
     for (const Router &router : routers_) {
         if (router.buffered_flits == 0)
             continue;
-        os << (sep ? "," : "") << "{\"id\":" << router.id
+        os << sep << "{\"id\":" << router.id
            << ",\"buffered_flits\":" << router.buffered_flits
-           << ",\"blocked_out\":[";
-        bool bsep = false;
+           << ",\"buffered_in\":[";
+        const char *isep = "";
+        for (std::size_t p = 0; p < router.in.size(); ++p) {
+            for (int v = 0; v < config_.num_vcs; ++v) {
+                const Router::Vc &vc = router.in[p].vcs[v];
+                if (vc.empty())
+                    continue;
+                // The front flit's packet is what this VC waits on.
+                const Flit &f = vc.front();
+                const Packet &pkt = pkts_[f.pkt];
+                os << isep << "{\"port\":";
+                port(static_cast<int>(p));
+                os << ",\"vc\":" << v << ",\"flits\":" << vc.count
+                   << ",\"front_pkt\":" << pkt.id << ",\"class\":\""
+                   << (pkt.cls == PacketClass::Meta ? "meta" : "data")
+                   << "\",\"dst\":" << pkt.dst << ",\"head\":"
+                   << flag(f.head) << ",\"tail\":" << flag(f.tail)
+                   << ",\"ready_at\":" << f.ready_at << ",\"out_port\":";
+                port(vc.out_port);
+                os << ",\"out_vc\":" << vc.out_vc << "}";
+                isep = ",";
+            }
+        }
+        os << "],\"blocked_out\":[";
+        const char *bsep = "";
         for (std::size_t o = 0; o < router.out.size(); ++o) {
             const auto &op = router.out[o];
             for (int v = 0; v < config_.num_vcs; ++v) {
@@ -918,34 +897,31 @@ MeshNetwork::writeLinkStateJson(std::ostream &os) const
                 // backpressure originates; report those first.
                 if (!op.vc_busy[v])
                     continue;
-                os << (bsep ? "," : "") << "{\"port\":";
-                if (o < static_cast<std::size_t>(kFirstLocal))
-                    os << "\"" << kDirectionNames[o] << "\"";
-                else
-                    os << "\"local" << (o - kFirstLocal) << "\"";
+                os << bsep << "{\"port\":";
+                port(static_cast<int>(o));
                 os << ",\"vc\":" << v << ",\"credits\":"
                    << (op.local ? -1 : op.credits[v]) << "}";
-                bsep = true;
+                bsep = ",";
             }
         }
         os << "]}";
-        sep = true;
+        sep = ",";
     }
     os << "],\"injectors\":[";
-    sep = false;
+    sep = "";
     for (std::size_t ep = 0; ep < injectors_.size(); ++ep) {
         const auto &inj = injectors_[ep];
-        const std::size_t backlog =
-            inj.lanes[0].queue.size() + inj.lanes[1].queue.size();
-        const bool active =
-            inj.active[0] != kNullPkt || inj.active[1] != kNullPkt;
-        if (backlog == 0 && !active)
+        if (inj.quiet())
             continue;
-        os << (sep ? "," : "") << "{\"endpoint\":" << ep
+        os << sep << "{\"endpoint\":" << ep
            << ",\"queued_meta\":" << inj.lanes[0].queue.size()
            << ",\"queued_data\":" << inj.lanes[1].queue.size()
-           << ",\"mid_packet\":" << (active ? "true" : "false") << "}";
-        sep = true;
+           << ",\"mid_packet\":"
+           << flag(inj.active[0] != kNullPkt || inj.active[1] != kNullPkt)
+           << ",\"remaining\":[" << inj.remaining[0] << ","
+           << inj.remaining[1] << "],\"vc\":[" << inj.vc[0] << ","
+           << inj.vc[1] << "]}";
+        sep = ",";
     }
     os << "]}";
 }

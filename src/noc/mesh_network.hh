@@ -114,9 +114,6 @@ class MeshNetwork : public Network
         return flits_[cls == PacketClass::Meta ? 0 : 1];
     }
 
-    /** Print buffered-flit state to stderr (watchdog diagnostics). */
-    void debugDump() const;
-
     /** Checkpoint/restore: one section for the shared mesh state plus
      *  one per router ("<prefix>.router[i]") for named diagnosis. */
     void serialize(snapshot::Sections &snap,
@@ -134,7 +131,8 @@ class MeshNetwork : public Network
     /**
      * Write the congestion snapshot the flight recorder embeds in its
      * "context" object: one JSON value describing every router holding
-     * flits (with its blocked output VCs) and every injector with a
+     * flits (each occupied input VC with its front flit's packet and
+     * route, and its busy output VCs) and every injector with a
      * backlog. Empty run -> compact all-clear object.
      */
     void writeLinkStateJson(std::ostream &os) const;

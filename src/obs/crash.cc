@@ -18,6 +18,20 @@ std::atomic<bool> dumped{false};
 constexpr int kSignals[] = {SIGSEGV, SIGBUS, SIGFPE, SIGABRT, SIGINT,
                             SIGTERM};
 
+/**
+ * Flush the tracer and dump all live flight recorders, at most once
+ * per process.
+ */
+void
+crashDump(const char *reason)
+{
+    bool expected = false;
+    if (!dumped.compare_exchange_strong(expected, true))
+        return;
+    Tracer::instance().crashFlush();
+    FlightRecorder::dumpAllOnCrash(reason);
+}
+
 extern "C" void
 crashSignalHandler(int sig)
 {
@@ -46,32 +60,15 @@ fatalDumpHook()
 
 } // namespace
 
-const char *
-flightDumpPath()
-{
-    static const char *path = [] {
-        const char *env = std::getenv("FSOI_FLIGHT_FILE");
-        return env && env[0] ? env : "fsoi_flight.json";
-    }();
-    return path;
-}
-
-void
-crashDump(const char *reason)
-{
-    bool expected = false;
-    if (!dumped.compare_exchange_strong(expected, true))
-        return;
-    Tracer::instance().crashFlush();
-    FlightRecorder::dumpAllOnCrash(flightDumpPath(), reason);
-}
-
 void
 installCrashHooks()
 {
     bool expected = false;
     if (!hooksInstalled.compare_exchange_strong(expected, true))
         return;
+    // The tracer reads its environment on first use; a malformed
+    // FSOI_TRACE_BUF is fatal there, before this hook could re-enter it.
+    Tracer::instance();
     setFatalHook(&fatalDumpHook);
     for (int sig : kSignals)
         std::signal(sig, &crashSignalHandler);

@@ -10,11 +10,13 @@
  *    SIGTERM) that do the same and then re-raise with the default
  *    disposition, preserving the process's exit status / core dump.
  *
- * The dump lands at $FSOI_FLIGHT_FILE (default "fsoi_flight.json"),
- * one JSON document per live System. Everything here is best-effort:
- * it runs when the process is already dying, takes locks that are
- * normally uncontended, and guards against re-entry so a crash inside
- * the dump path cannot loop.
+ * The dump is appended to $FSOI_FLIGHT_FILE (default
+ * "fsoi_flight.json"), one JSON document per live System, at most
+ * once per process. A System whose watchdog tripped has already
+ * appended its own document and is not written again. Everything here
+ * is best-effort: it runs when the process is already dying, takes
+ * locks that are normally uncontended, and guards against re-entry so
+ * a crash inside the dump path cannot loop.
  */
 
 #ifndef FSOI_OBS_CRASH_HH
@@ -24,16 +26,6 @@ namespace fsoi::obs {
 
 /** Install the fatal hook + signal handlers. Idempotent. */
 void installCrashHooks();
-
-/**
- * Immediately flush the tracer and dump all live flight recorders
- * (at most once per process — later calls are no-ops, so a watchdog
- * dump is not overwritten by the panic that follows it).
- */
-void crashDump(const char *reason);
-
-/** Where crashDump writes ($FSOI_FLIGHT_FILE or the default). */
-const char *flightDumpPath();
 
 } // namespace fsoi::obs
 

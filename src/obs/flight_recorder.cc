@@ -1,8 +1,10 @@
 #include "obs/flight_recorder.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "obs/stat_registry.hh"
@@ -12,24 +14,18 @@ namespace fsoi::obs {
 namespace {
 
 /**
- * Process-global registry of live recorders for the crash hooks. Only
- * touched at System construction/teardown and when the process is
- * already dying, so one mutex is plenty.
+ * Guards the live-recorder list and every append to a dump file, so
+ * documents from different worker threads never interleave. Recursive:
+ * a crash signal landing while a thread holds it re-enters through the
+ * crash hooks on that same thread.
  */
-std::mutex registryMu;
+std::recursive_mutex dumpMu;
 std::vector<FlightRecorder *> liveRecorders;
-
-void
-registerRecorder(FlightRecorder *rec)
-{
-    std::lock_guard<std::mutex> lock(registryMu);
-    liveRecorders.push_back(rec);
-}
 
 void
 unregisterRecorder(FlightRecorder *rec)
 {
-    std::lock_guard<std::mutex> lock(registryMu);
+    std::lock_guard<std::recursive_mutex> lock(dumpMu);
     liveRecorders.erase(
         std::remove(liveRecorders.begin(), liveRecorders.end(), rec),
         liveRecorders.end());
@@ -51,6 +47,13 @@ flightEventKindName(FlightEventKind kind)
     return "?";
 }
 
+std::string
+flightDumpPath()
+{
+    const char *env = std::getenv("FSOI_FLIGHT_FILE");
+    return env && env[0] ? env : "fsoi_flight.json";
+}
+
 FlightRecorder::FlightRecorder(std::size_t capacity)
 {
     if (capacity) {
@@ -59,50 +62,14 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
             rounded *= 2;
         ring_.resize(rounded);
         mask_ = rounded - 1;
-        registerRecorder(this);
     }
+    std::lock_guard<std::recursive_mutex> lock(dumpMu);
+    liveRecorders.push_back(this);
 }
 
 FlightRecorder::~FlightRecorder()
 {
-    if (enabled())
-        unregisterRecorder(this);
-}
-
-std::uint8_t
-FlightRecorder::keyClass(FlightEventKind kind)
-{
-    switch (kind) {
-      case FlightEventKind::MshrAlloc:
-      case FlightEventKind::MshrFree:
-        return 0;
-      default:
-        return 1;
-    }
-}
-
-void
-FlightRecorder::beginTransaction(FlightEventKind kind, Cycle cycle,
-                                 NodeId node, Addr line,
-                                 std::uint8_t detail)
-{
-    if (!enabled())
-        return;
-    record(kind, cycle, node, kInvalidNode, line, detail);
-    // A protocol retry re-registers: the entry is refreshed.
-    inflight_[packKey(keyClass(kind), node, line)] = Inflight{cycle, detail};
-}
-
-void
-FlightRecorder::endTransaction(FlightEventKind kind, Cycle cycle,
-                               NodeId node, Addr line,
-                               std::uint8_t detail)
-{
-    if (!enabled())
-        return;
-    record(kind, cycle, node, kInvalidNode, line, detail);
-    // An unmatched end (e.g. recorder attached mid-run) erases nothing.
-    inflight_.erase(packKey(keyClass(kind), node, line));
+    unregisterRecorder(this);
 }
 
 void
@@ -126,38 +93,16 @@ void
 FlightRecorder::dumpJson(std::ostream &os, const char *reason,
                          Cycle now) const
 {
-    os << "{\"schema\":\"fsoi-flight-1\",\"reason\":\""
+    os << "{\"schema\":\"fsoi-flight-2\",\"reason\":\""
        << jsonEscape(reason ? reason : "unknown") << "\",\"cycle\":"
        << now << ",\"capacity\":" << ring_.size()
        << ",\"recorded\":" << recorded_ << ",\"events\":[";
     const std::uint64_t n =
-        ring_.empty() ? 0 : std::min<std::uint64_t>(recorded_,
-                                                    ring_.size());
-    const std::uint64_t first = recorded_ - n;
+        std::min<std::uint64_t>(recorded_, ring_.size());
     for (std::uint64_t i = 0; i < n; ++i) {
         if (i)
             os << ",";
-        writeEventJson(os, ring_[(first + i) % ring_.size()]);
-    }
-    os << "],\"inflight\":[";
-    bool sep = false;
-    for (const auto &[key, txn] : inflight_) {
-        const std::uint8_t cls = key & 1;
-        const auto node = static_cast<NodeId>((key >> 1) & 0xFF);
-        const Addr line = static_cast<Addr>(key >> 9);
-        const FlightEventKind kind = cls == 0
-            ? FlightEventKind::MshrAlloc : FlightEventKind::DirTxnStart;
-        os << (sep ? "," : "") << "{\"kind\":\""
-           << (cls == 0 ? "mshr" : "dir_txn") << "\",\"node\":" << node
-           << ",\"line\":" << line << ",\"since\":" << txn.since
-           << ",\"age\":" << (now >= txn.since ? now - txn.since : 0)
-           << ",\"detail\":" << static_cast<unsigned>(txn.detail);
-        if (namer_) {
-            if (const char *name = namer_(kind, txn.detail))
-                os << ",\"detail_name\":\"" << jsonEscape(name) << "\"";
-        }
-        os << "}";
-        sep = true;
+        writeEventJson(os, ring_[(recorded_ - n + i) & mask_]);
     }
     os << "],\"context\":{";
     if (context_)
@@ -165,23 +110,42 @@ FlightRecorder::dumpJson(std::ostream &os, const char *reason,
     os << "}}";
 }
 
-void
-FlightRecorder::dumpAllOnCrash(const char *path, const char *reason)
+bool
+FlightRecorder::appendDump(const std::string &path, const char *reason,
+                           Cycle now)
 {
-    std::lock_guard<std::mutex> lock(registryMu);
+    unregisterRecorder(this);
+    // Render outside the lock: the context writer reads only this
+    // recorder's System.
+    std::ostringstream doc;
+    dumpJson(doc, reason, now);
+    doc << "\n";
+    std::lock_guard<std::recursive_mutex> lock(dumpMu);
+    std::ofstream os(path, std::ios::app);
+    os << doc.str() << std::flush;
+    if (!os)
+        warn("flight recorder: cannot write '%s'", path.c_str());
+    return static_cast<bool>(os);
+}
+
+void
+FlightRecorder::dumpAllOnCrash(const char *reason)
+{
+    std::lock_guard<std::recursive_mutex> lock(dumpMu);
     if (liveRecorders.empty())
         return;
-    std::ofstream os(path);
+    const std::string path = flightDumpPath();
+    std::ofstream os(path, std::ios::app);
     if (!os) {
-        warn("flight recorder: cannot write '%s'", path);
+        warn("flight recorder: cannot write '%s'", path.c_str());
         return;
     }
     for (const FlightRecorder *rec : liveRecorders) {
         rec->dumpJson(os, reason, rec->lastCycle_);
-        os << "\n";
+        os << "\n" << std::flush;
     }
-    inform("flight recorder: wrote %zu dump(s) to %s",
-           liveRecorders.size(), path);
+    inform("flight recorder: appended %zu dump(s) to %s",
+           liveRecorders.size(), path.c_str());
 }
 
 } // namespace fsoi::obs

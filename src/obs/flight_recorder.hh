@@ -1,23 +1,29 @@
 /**
  * @file
  * Flight recorder: a bounded ring of recent protocol events plus a
- * table of in-flight transactions, dumped as structured JSON when a
- * run dies (fatal error, signal, or watchdog trip).
+ * context writer, dumped as one JSON document when a run dies (fatal
+ * error, signal, or watchdog trip).
  *
  * The recorder is deliberately dumber than the Tracer: events are
  * fixed-size PODs recorded unconditionally while the recorder is
  * enabled (no categories, no levels), because its job is not
  * interactive analysis but post-mortem triage — "what were the last
- * few thousand protocol steps, and which transactions never finished".
- * A disabled recorder (capacity 0) costs one branch per call site.
+ * few thousand protocol steps, and what is stuck now". It keeps no
+ * copy of simulation state: the stuck part (each core, each L1 MSHR,
+ * each directory transaction, the network's buffers) comes from the
+ * context writer, which reads the controllers themselves when the dump
+ * is taken, so a restored run's dump lists what the checkpoint held.
+ * A disabled recorder (capacity 0) costs one branch per call site and
+ * still dumps its context.
  *
  * Ownership mirrors StatRegistry: each System owns one recorder and
  * its components record into it from the one thread that runs that
- * System, so the hot path is lock-free. A small process-global registry of live
- * recorders (mutex-protected, touched only at construction, teardown
- * and crash time) lets the crash hooks dump every active run's state
- * with dumpAllOnCrash(); that path is best-effort by design — it runs
- * when the process is already dying.
+ * System, so the hot path is lock-free. A watchdog trip appends its
+ * own System's document (appendDump()). A process-global list of live
+ * recorders lets the crash hooks dump every System with
+ * dumpAllOnCrash(); that path is best-effort by design — it runs when
+ * the process is already dying. Both append one line per document
+ * under one process-wide lock.
  */
 
 #ifndef FSOI_OBS_FLIGHT_RECORDER_HH
@@ -26,7 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -57,6 +63,10 @@ struct FlightEvent
     std::uint8_t detail = 0;
 };
 
+/** Where dumps go: $FSOI_FLIGHT_FILE, read at each dump, or
+ *  "fsoi_flight.json". */
+std::string flightDumpPath();
+
 class FlightRecorder
 {
   public:
@@ -70,8 +80,8 @@ class FlightRecorder
     using DetailNamer =
         std::function<const char *(FlightEventKind, std::uint8_t)>;
 
-    /** Appends extra JSON object members (no trailing comma) to the
-     *  dump's "context" object: per-core state, network link state. */
+    /** Appends JSON object members (no trailing comma) to the dump's
+     *  "context" object: per-core, L1, directory and network state. */
     using ContextWriter = std::function<void(std::ostream &)>;
 
     /** @p capacity ring slots (rounded up to a power of two so the
@@ -105,71 +115,40 @@ class FlightRecorder
             lastCycle_ = cycle;
     }
 
-    /**
-     * Register an outstanding transaction (an L1 miss or directory
-     * transaction) keyed by (kind, node, line). Also records the
-     * matching ring event. Re-registering the same key overwrites —
-     * protocol retries refresh the entry rather than leaking it.
-     */
-    void beginTransaction(FlightEventKind kind, Cycle cycle, NodeId node,
-                          Addr line, std::uint8_t detail);
-
-    /** Retire an outstanding transaction and record the ring event. */
-    void endTransaction(FlightEventKind kind, Cycle cycle, NodeId node,
-                        Addr line, std::uint8_t detail);
-
     void setDetailNamer(DetailNamer namer) { namer_ = std::move(namer); }
     void setContextWriter(ContextWriter writer)
     { context_ = std::move(writer); }
 
     /**
      * Write the full dump as one JSON document:
-     *   {"schema":"fsoi-flight-1","reason":...,"cycle":N,
-     *    "events":[...oldest first...],
-     *    "inflight":[{"kind":...,"node":...,"line":...,"since":...,
-     *                 "age":...},...],
+     *   {"schema":"fsoi-flight-2","reason":...,"cycle":N,
+     *    "capacity":N,"recorded":N,"events":[...oldest first...],
      *    "context":{...writer members...}}
      */
     void dumpJson(std::ostream &os, const char *reason, Cycle now) const;
 
     /**
-     * Crash path: dump every live recorder to @p path (one JSON
-     * document per line when several Systems are in flight). Invoked
-     * by the crash hooks; safe to call with none registered.
+     * Append this recorder's dump, as one line, to @p path, and take
+     * the recorder off the crash hooks' list so a panic that follows
+     * does not write it again. Only the append holds the process-wide
+     * lock. False (after a warning) when the file cannot be written.
      */
-    static void dumpAllOnCrash(const char *path, const char *reason);
-
-  private:
-    /** (kind class, node, line) -> registration info. */
-    struct Inflight
-    {
-        Cycle since = 0;
-        std::uint8_t detail = 0;
-    };
+    bool appendDump(const std::string &path, const char *reason,
+                    Cycle now);
 
     /**
-     * The in-flight table's key: the (class, node, line) triple packed
-     * into one integer -- line address shifted over a node byte and a
-     * class bit; simulated line addresses are far below 2^55, so the
-     * pack is collision-free.
+     * Crash path: append every live recorder's dump to
+     * flightDumpPath(), each stamped with the newest cycle it
+     * recorded. Invoked by the crash hooks; safe with none live.
      */
-    using Key = std::uint64_t;
+    static void dumpAllOnCrash(const char *reason);
 
-    static Key
-    packKey(std::uint8_t cls, NodeId node, Addr line)
-    {
-        return (static_cast<std::uint64_t>(line) << 9)
-            | (static_cast<std::uint64_t>(node & 0xFF) << 1)
-            | (cls & 1);
-    }
-
-    static std::uint8_t keyClass(FlightEventKind kind);
+  private:
     void writeEventJson(std::ostream &os, const FlightEvent &e) const;
 
     std::vector<FlightEvent> ring_;
     std::uint64_t recorded_ = 0;
     std::uint64_t mask_ = 0; //!< ring_.size() - 1 (size is a power of 2)
-    std::unordered_map<Key, Inflight> inflight_;
     Cycle lastCycle_ = 0; //!< newest cycle seen (for crash dumps)
     DetailNamer namer_;
     ContextWriter context_;

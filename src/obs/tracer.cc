@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "common/logging.hh"
+#include "obs/cli.hh"
 #include "obs/stat_registry.hh"
 
 namespace fsoi::obs {
@@ -38,11 +39,8 @@ traceCatName(TraceCat cat)
 
 Tracer::Tracer()
 {
-    if (const char *buf = std::getenv("FSOI_TRACE_BUF")) {
-        const long n = std::atol(buf);
-        setCapacity(n > 0 ? static_cast<std::size_t>(n)
-                          : kDefaultCapacity);
-    }
+    if (const char *buf = std::getenv("FSOI_TRACE_BUF"))
+        setCapacity(parseFlagInt("FSOI_TRACE_BUF", buf, 1));
     if (const char *file = std::getenv("FSOI_TRACE_FILE"))
         path_ = file;
     else
@@ -80,10 +78,20 @@ Tracer::configure(const std::string &spec)
         int level = 1;
         const std::size_t colon = token.find(':');
         if (colon != std::string::npos) {
-            level = std::atoi(token.c_str() + colon + 1);
+            const std::string digits = token.substr(colon + 1);
             token.resize(colon);
+            if (digits.empty()
+                || digits.find_first_not_of("0123456789")
+                    != std::string::npos) {
+                warn("FSOI_TRACE: level '%s' of '%s' is not a whole "
+                     "number; skipped", digits.c_str(), token.c_str());
+                continue;
+            }
+            // Saturating: levels above kMaxLevel clamp to it.
+            level = 0;
+            for (const char c : digits)
+                level = std::min(level * 10 + (c - '0'), kMaxLevel);
         }
-        level = std::clamp(level, 0, kMaxLevel);
 
         if (token == "all" || token == "1" || token == "true") {
             for (auto &l : levels_)

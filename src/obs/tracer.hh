@@ -15,7 +15,9 @@
  *                   "coherence,fsoi:2", "all:1"; plain "1" (the legacy
  *                   boolean) means all:1.
  *   FSOI_TRACE_FILE output path (default "fsoi_trace.json")
- *   FSOI_TRACE_BUF  ring capacity in events (default 65536)
+ *   FSOI_TRACE_BUF  ring capacity in events (default 65536): a plain
+ *                   positive decimal integer (obs::parseFlagInt), so
+ *                   "1e6" is fatal instead of a one-event ring
  *
  * Cost when disabled: one level-table load and compare per call site,
  * the same single branch the old traceEnabled() bool was.
@@ -102,8 +104,9 @@ class Tracer
     /**
      * Apply a FSOI_TRACE-style spec: comma-separated category names
      * with optional `:level` suffixes; "all" addresses every category;
-     * "1" / "true" enable everything at level 1. Unknown categories
-     * are reported and skipped.
+     * "1" / "true" enable everything at level 1. A level is a whole
+     * decimal number (above 3 clamps to 3); unknown categories and
+     * other levels are reported and skipped.
      */
     void configure(const std::string &spec);
 

@@ -1,6 +1,4 @@
 #include "sim/system.hh"
-#include <cstdio>
-#include <cstdlib>
 
 #include <algorithm>
 #include <bit>
@@ -55,6 +53,31 @@ forEachWake(std::vector<std::uint64_t> &words, Fn &&fn)
 constexpr Cycle kCompletionStride = 32;
 constexpr Cycle kProgressStride = 16384;
 
+/**
+ * The core counts the model builds: a square mesh of tiles (the
+ * layout's grid) of at most 64, the width of the directory's sharer
+ * and subscriber masks.
+ */
+bool
+buildableCores(int cores)
+{
+    for (int side = 2; side <= 8; ++side)
+        if (side * side == cores)
+            return true;
+    return false;
+}
+
+/** @p config once its core count is asserted buildable (the layout
+ *  it sizes is built next). */
+const SystemConfig &
+checkedCores(const SystemConfig &config)
+{
+    FSOI_ASSERT(buildableCores(config.num_cores),
+                "cores wants a perfect square from 4 to 64, got %d",
+                config.num_cores);
+    return config;
+}
+
 } // namespace
 
 const char *
@@ -89,6 +112,8 @@ netKindByName(const std::string &name)
 SystemConfig
 SystemConfig::paperConfig(int cores, NetKind kind)
 {
+    if (!buildableCores(cores))
+        fatal("cores wants a perfect square from 4 to 64, got %d", cores);
     SystemConfig cfg;
     cfg.num_cores = cores;
     cfg.num_memctls = cores <= 16 ? 4 : 8;
@@ -153,7 +178,8 @@ class System::LocalTransport : public coherence::Transport
 };
 
 System::System(const SystemConfig &config)
-    : config_(config), layout_(config.num_cores, config.num_memctls),
+    : config_(checkedCores(config)),
+      layout_(config.num_cores, config.num_memctls),
       flightRec_(config.flight_recorder_events),
       profiler_(config.profile_stride)
 {
@@ -286,14 +312,33 @@ System::System(const SystemConfig &config)
             }
             return nullptr;
         });
+    // The post-mortem's stuck state is read from the controllers when
+    // the dump is taken: every core, and each L1 and directory slice
+    // with work outstanding (its MSHRs or transactions).
     flightRec_.setContextWriter([this](std::ostream &os) {
         os << "\"now\":" << now_ << ",\"network\":\""
            << netKindName(config_.network) << "\",\"cores\":[";
         for (int n = 0; n < config_.num_cores; ++n) {
-            os << (n ? "," : "") << "{\"node\":" << n << ",\"done\":"
-               << (cores_[n]->done() ? "true" : "false")
-               << ",\"outstanding_misses\":"
-               << l1s_[n]->outstandingMisses() << "}";
+            os << (n ? "," : "");
+            cores_[n]->writeJson(os);
+        }
+        os << "],\"l1s\":[";
+        const char *sep = "";
+        for (const auto &l1 : l1s_) {
+            if (!l1->quiescent()) {
+                os << sep;
+                l1->writeJson(os, now_);
+                sep = ",";
+            }
+        }
+        os << "],\"dirs\":[";
+        sep = "";
+        for (const auto &dir : dirs_) {
+            if (!dir->quiescent()) {
+                os << sep;
+                dir->writeJson(os);
+                sep = ",";
+            }
         }
         os << "]";
         if (meshNet_) {
@@ -432,42 +477,25 @@ System::routeMessage(NodeId dst, const Message &msg)
         wake(WakeKind::Mem, m);
         return;
     }
-    switch (msg.type) {
-      case MsgType::ReqSh:
-      case MsgType::ReqEx:
-      case MsgType::ReqUpg:
-      case MsgType::SyncLl:
-      case MsgType::SyncSc:
-      case MsgType::WriteBack:
-      case MsgType::InvAck:
-      case MsgType::InvAckData:
+    switch (coherence::msgTypeInfo(msg.type).receiver) {
+      case coherence::Controller::Directory:
         FSOI_TRACE_POINT(TraceCat::Sim, 3, "route_to_dir", now_, dst,
                          {"line", msg.line},
                          {"type", static_cast<std::uint64_t>(msg.type)},
                          {"from", msg.requester});
-        [[fallthrough]];
-      case MsgType::DwgAck:
-      case MsgType::DwgAckData:
-      case MsgType::MemReply:
         dirs_[dst]->syncClock(sync);
         dirs_[dst]->handleMessage(msg);
         wake(WakeKind::Dir, static_cast<int>(dst));
         return;
-      case MsgType::DataS:
-      case MsgType::DataE:
-      case MsgType::DataM:
-      case MsgType::ExcAck:
-      case MsgType::Inv:
-      case MsgType::Dwg:
-      case MsgType::Nack:
+      case coherence::Controller::L1:
         l1s_[dst]->syncClock(sync);
         l1s_[dst]->handleMessage(msg);
         wake(WakeKind::L1, static_cast<int>(dst));
         return;
-      default:
-        panic("unroutable message %s to node %u",
-              msgTypeName(msg.type), dst);
+      case coherence::Controller::None:
+        break;
     }
+    panic("unroutable message %s to node %u", msgTypeName(msg.type), dst);
 }
 
 void
@@ -858,65 +886,53 @@ System::runLoop(obs::Watchdog &watchdog)
 }
 
 /**
- * Watchdog trip: dump human-readable component state to stderr, write
- * the flight-recorder post-mortem (stuck transactions, recent protocol
- * events, per-link network state), then act on the verdict that
- * distinguishes deadlock (network quiet too) from livelock (packets
- * still moving while no instruction retires). With fault injection
- * active the wedge is the *expected* consequence of the schedule, so
- * instead of aborting the trip becomes a diagnosed-fault report naming
- * the dead channels/links, and run() ends normally.
+ * Watchdog trip: append this System's flight-recorder post-mortem
+ * (recent protocol events, every core, stuck MSHRs and directory
+ * transactions, network and fault state) at the trip cycle, then act on
+ * the verdict that distinguishes deadlock (network quiet too) from
+ * livelock (packets still moving while no instruction retires). With
+ * fault injection active the wedge is the *expected* consequence of
+ * the schedule, so instead of aborting the trip becomes a
+ * diagnosed-fault report naming the dead channels/links, and run()
+ * ends normally. Either message names the dump file; the trip reads no
+ * other System, and the panic's crash hooks do not write this one again.
  */
 void
 System::onWatchdogTrip(const obs::Watchdog::Report &report)
 {
-    std::size_t misses = 0, txns = 0;
-    for (const auto &core : cores_) {
-        if (!core->done())
-            core->debugDump();
-    }
-    for (const auto &l1 : l1s_) {
-        if (!l1->quiescent())
-            l1->debugDump();
-        misses += l1->outstandingMisses();
-    }
-    for (const auto &dir : dirs_) {
-        if (!dir->quiescent())
-            dir->debugDump();
-        txns += dir->quiescent() ? 0 : 1;
-    }
-    if (meshNet_ && !meshNet_->idle())
-        meshNet_->debugDump();
-
-    char reason[64];
-    std::snprintf(reason, sizeof(reason), "%s:%s",
-                  fault_ ? "fault" : "watchdog",
-                  obs::watchdogVerdictName(report.verdict));
-    // Marks the dump done, so the fatal hook installed by
-    // installCrashHooks() does not write it a second time from panic.
-    obs::crashDump(reason);
+    const char *verdict = obs::watchdogVerdictName(report.verdict);
+    const std::string reason =
+        std::string(fault_ ? "fault:" : "watchdog:") + verdict;
+    const std::string path = obs::flightDumpPath();
+    const char *dump =
+        flightRec_.appendDump(path, reason.c_str(), now_) ? path.c_str()
+                                                           : "not written";
 
     if (fault_) {
-        faultDiagnosis_ = std::string(
-            obs::watchdogVerdictName(report.verdict))
+        faultDiagnosis_ = std::string(verdict)
             + " attributed to injected faults: " + fault_->diagnose();
-        warn("%s (no instruction retired for %llu cycles at cycle %llu)",
+        warn("%s (no instruction retired for %llu cycles at cycle %llu; "
+             "flight dump: %s)",
              faultDiagnosis_.c_str(),
              static_cast<unsigned long long>(report.stalled_for),
-             static_cast<unsigned long long>(now_));
+             static_cast<unsigned long long>(now_), dump);
         return;
     }
 
+    std::size_t misses = 0, txns = 0;
+    for (const auto &l1 : l1s_)
+        misses += l1->outstandingMisses();
+    for (const auto &dir : dirs_)
+        txns += dir->quiescent() ? 0 : 1;
     panic("%s: no instruction retired for %llu cycles at cycle %llu "
           "(network %s for %llu cycles; %zu outstanding misses, "
-          "%zu busy directories)",
-          obs::watchdogVerdictName(report.verdict),
-          static_cast<unsigned long long>(report.stalled_for),
+          "%zu busy directories; flight dump: %s)",
+          verdict, static_cast<unsigned long long>(report.stalled_for),
           static_cast<unsigned long long>(now_),
           report.verdict == obs::WatchdogVerdict::Livelock ? "active"
                                                            : "quiet",
           static_cast<unsigned long long>(report.net_quiet_for), misses,
-          txns);
+          txns, dump);
 }
 
 RunResult

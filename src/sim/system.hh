@@ -117,7 +117,14 @@ struct SystemConfig
     std::size_t flight_recorder_events = 1024;
     Cycle profile_stride = 256;
 
-    /** Paper defaults for a given scale (16 or 64 cores). */
+    /**
+     * Paper defaults for @p cores tiles (the paper runs 16 and 64).
+     * The one map from a core count to memory controllers; a count the
+     * model cannot build -- not a perfect square from 4 to 64, the
+     * mesh being square and the directory's sharer masks 64 bits wide
+     * -- is fatal ("cores wants a perfect square from 4 to 64"). The
+     * System constructor asserts the same bound for hand-built configs.
+     */
     static SystemConfig paperConfig(int cores, NetKind kind);
 };
 
@@ -278,7 +285,8 @@ class System
     void writeStatsCsv(std::ostream &os) const
     { obs::writeCsv(registry_, os); }
 
-    /** Post-mortem ring of recent protocol events + in-flight misses. */
+    /** Post-mortem ring of recent protocol events; its context writer
+     *  reads every core, busy L1 and directory, and the network. */
     obs::FlightRecorder &flightRecorder() { return flightRec_; }
     const obs::FlightRecorder &flightRecorder() const
     { return flightRec_; }
@@ -386,9 +394,10 @@ class System
      */
     Cycle nextEpoch() const;
     /**
-     * With fault injection active: write the post-mortem, record the
-     * diagnosis in faultDiagnosis_ and return (the run ends cleanly).
-     * Without it a watchdog trip is a simulator bug and panics.
+     * Append this System's post-mortem to the flight file. With fault
+     * injection active, record the diagnosis in faultDiagnosis_ and
+     * return (the run ends cleanly); without it a watchdog trip is a
+     * simulator bug and panics.
      */
     void onWatchdogTrip(const obs::Watchdog::Report &report);
     void wireNetworkHandlers();

@@ -58,4 +58,18 @@ fi
 grep -q "fatal: cores wants" "$workdir/obs_smoke_bad.txt" || {
     echo "quickstart fft x did not name the cores argument"; exit 1;
 }
+# A core count the model cannot build (not a perfect square from 4 to
+# 64) stops at once with a fatal naming it, instead of an assertion
+# deep in the mesh layout or a livelock past 64 sharer bits.
+for cores in 5 81; do
+    if timeout 60 "$quickstart" fft "$cores" > /dev/null \
+        2> "$workdir/obs_smoke_cores.txt"; then
+        echo "quickstart accepted $cores cores"; exit 1
+    fi
+    grep -q "fatal: cores wants a perfect square" \
+        "$workdir/obs_smoke_cores.txt" || {
+        echo "quickstart fft $cores did not name the cores argument"
+        exit 1
+    }
+done
 echo "obs smoke OK"

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -93,6 +94,87 @@ addrWithHome(int home, int index = 0)
 {
     return (static_cast<Addr>(index) * 16 + home) * 32 + 0x100000ULL * 0
         + 0x40000000ULL; // keep clear of workload spaces
+}
+
+TEST(MessageTable, EveryTypeHasTheRowOfItsOldSwitches)
+{
+    using coherence::Controller;
+    using coherence::MsgType;
+    using noc::PacketClass;
+    using noc::PacketKind;
+    // Written out from the switches the table replaced (msgTypeName,
+    // isDataMessage, packetKindOf, System::routeMessage), in
+    // enumerator order.
+    struct Row
+    {
+        MsgType type;
+        const char *name;
+        PacketClass cls;
+        PacketKind kind;
+        Controller receiver;
+    };
+    const Row expected[] = {
+        {MsgType::ReqSh, "ReqSh", PacketClass::Meta, PacketKind::Request,
+         Controller::Directory},
+        {MsgType::ReqEx, "ReqEx", PacketClass::Meta, PacketKind::Request,
+         Controller::Directory},
+        {MsgType::ReqUpg, "ReqUpg", PacketClass::Meta, PacketKind::Request,
+         Controller::Directory},
+        {MsgType::SyncLl, "SyncLl", PacketClass::Meta, PacketKind::Request,
+         Controller::Directory},
+        {MsgType::SyncSc, "SyncSc", PacketClass::Meta, PacketKind::Request,
+         Controller::Directory},
+        {MsgType::DataS, "DataS", PacketClass::Data, PacketKind::Reply,
+         Controller::L1},
+        {MsgType::DataE, "DataE", PacketClass::Data, PacketKind::Reply,
+         Controller::L1},
+        {MsgType::DataM, "DataM", PacketClass::Data, PacketKind::Reply,
+         Controller::L1},
+        {MsgType::ExcAck, "ExcAck", PacketClass::Meta, PacketKind::Ack,
+         Controller::L1},
+        {MsgType::Nack, "Nack", PacketClass::Meta, PacketKind::Control,
+         Controller::L1},
+        {MsgType::SyncReply, "SyncReply", PacketClass::Meta,
+         PacketKind::Control, Controller::None},
+        {MsgType::Inv, "Inv", PacketClass::Meta, PacketKind::Control,
+         Controller::L1},
+        {MsgType::Dwg, "Dwg", PacketClass::Meta, PacketKind::Control,
+         Controller::L1},
+        {MsgType::InvAck, "InvAck", PacketClass::Meta, PacketKind::Ack,
+         Controller::Directory},
+        {MsgType::InvAckData, "InvAckData", PacketClass::Data,
+         PacketKind::WriteBack, Controller::Directory},
+        {MsgType::DwgAck, "DwgAck", PacketClass::Meta, PacketKind::Ack,
+         Controller::Directory},
+        {MsgType::DwgAckData, "DwgAckData", PacketClass::Data,
+         PacketKind::WriteBack, Controller::Directory},
+        {MsgType::WriteBack, "WriteBack", PacketClass::Data,
+         PacketKind::WriteBack, Controller::Directory},
+        {MsgType::MemRead, "MemRead", PacketClass::Meta,
+         PacketKind::MemRequest, Controller::None},
+        {MsgType::MemWrite, "MemWrite", PacketClass::Data,
+         PacketKind::MemRequest, Controller::None},
+        {MsgType::MemReply, "MemReply", PacketClass::Data,
+         PacketKind::MemReply, Controller::Directory},
+    };
+    ASSERT_EQ(std::size(expected), coherence::kNumMsgTypes);
+    ASSERT_EQ(std::size(coherence::kMsgTypes), coherence::kNumMsgTypes);
+    for (std::size_t i = 0; i < std::size(expected); ++i) {
+        const Row &want = expected[i];
+        ASSERT_EQ(static_cast<std::size_t>(want.type), i);
+        const auto &row = coherence::msgTypeInfo(want.type);
+        EXPECT_STREQ(coherence::msgTypeName(want.type), want.name);
+        EXPECT_EQ(row.cls, want.cls) << want.name;
+        EXPECT_EQ(coherence::isDataMessage(want.type),
+                  want.cls == PacketClass::Data)
+            << want.name;
+        EXPECT_EQ(coherence::packetKindOf(want.type), want.kind)
+            << want.name;
+        EXPECT_EQ(row.receiver, want.receiver) << want.name;
+    }
+    EXPECT_STREQ(coherence::msgTypeName(
+                     static_cast<MsgType>(coherence::kNumMsgTypes)),
+                 "?");
 }
 
 TEST(Coherence, ReadMissGrantsExclusiveClean)

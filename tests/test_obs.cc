@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -247,6 +248,38 @@ TEST(Tracer, LevelsGateRecording)
     tr.instant(TraceCat::Fsoi, "kept", 2, 0);
     EXPECT_EQ(tr.recorded(), 1u);
     tr.reset();
+}
+
+TEST(Tracer, LevelThatIsNotAWholeNumberWarnsAndSkips)
+{
+    Tracer &tr = Tracer::instance();
+    tr.reset();
+    for (const char *spec : {"fsoi:x", "fsoi:", "fsoi:-1", "fsoi:2x"}) {
+        ::testing::internal::CaptureStderr();
+        tr.configure(spec);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("warn: FSOI_TRACE: level"), std::string::npos)
+            << spec << ": " << err;
+        EXPECT_FALSE(tr.enabled(TraceCat::Fsoi, 1)) << spec;
+    }
+    // Whole numbers still parse, and levels above 3 clamp to 3.
+    tr.configure("fsoi:12,noc:0");
+    EXPECT_TRUE(tr.enabled(TraceCat::Fsoi, 3));
+    EXPECT_FALSE(tr.enabled(TraceCat::Noc, 1));
+    tr.reset();
+}
+
+TEST(TracerDeathTest, MalformedTraceBufIsFatal)
+{
+    // The tracer reads its environment once per process: a fresh
+    // process (threadsafe style) constructs it with the bad value.
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ::setenv("FSOI_TRACE_BUF", "1e6", 1);
+    EXPECT_EXIT(Tracer::instance(), ::testing::ExitedWithCode(1),
+                "fatal: FSOI_TRACE_BUF wants an integer");
+    ::unsetenv("FSOI_TRACE_BUF");
+    ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(Tracer, ChromeTraceDocumentIsWellFormed)

@@ -5,6 +5,8 @@
  * deterministic, and the energy model behaves sanely.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/energy_model.hh"
@@ -155,6 +157,32 @@ TEST(System, RejectsOptimizationsOffFsoi)
         16, sim::NetKind::Mesh);
     cfg.opt_confirmation_ack = true;
     EXPECT_DEATH({ sim::System sys(cfg); }, "");
+}
+
+TEST(System, PaperConfigRejectsUnbuildableCoreCounts)
+{
+    // The mesh is square and the directory's sharer masks are 64 bits
+    // wide: anything but 4, 9, ..., 64 cores stops before a run.
+    for (const int cores : {0, 1, 5, 12, 81, 100}) {
+        EXPECT_DEATH(sim::SystemConfig::paperConfig(cores,
+                                                    sim::NetKind::Fsoi),
+                     "fatal: cores wants a perfect square from 4 to 64, "
+                     "got " + std::to_string(cores))
+            << cores;
+    }
+    for (const int cores : {4, 9, 36})
+        EXPECT_EQ(sim::SystemConfig::paperConfig(cores, sim::NetKind::Mesh)
+                      .num_cores,
+                  cores);
+}
+
+TEST(System, HandBuiltConfigAssertsCoreBound)
+{
+    sim::SystemConfig cfg = sim::SystemConfig::paperConfig(
+        64, sim::NetKind::Mesh);
+    cfg.num_cores = 81; // square, but past the 64-bit sharer masks
+    EXPECT_DEATH({ sim::System sys(cfg); },
+                 "cores wants a perfect square from 4 to 64, got 81");
 }
 
 TEST(EnergyModel, LeakageOnlyBaseline)

@@ -160,15 +160,17 @@ echo "== sanitizer leg (TSan, --jobs) =="
 # The --jobs tests again under ThreadSanitizer: a System always runs
 # on one thread, but SweepRunner and CampaignRunner run several
 # Systems at once on a worker pool, sharing the process-global tracer,
-# the live flight-recorder registry and the campaign journal. Scoped
-# to those tests: TSan slows runs ~10x and the pool is exactly what
-# they drive.
+# the live flight-recorder registry, the flight dump file and the
+# campaign journal. The sweep-trip test wedges two Systems beside
+# healthy ones, so a post-mortem that read another worker's System
+# fails here. Scoped to those tests: TSan slows runs ~10x and the pool
+# is exactly what they drive.
 tsanbuild="$build-tsan"
 cmake -B "$tsanbuild" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFSOI_SANITIZE=thread
 cmake --build "$tsanbuild" -j "$(nproc 2>/dev/null || echo 2)" \
-    --target test_determinism test_snapshot
+    --target test_determinism test_snapshot test_watchdog
 ctest --test-dir "$tsanbuild" --output-on-failure -R \
-    "Determinism\.(ParallelMatchesSerial|KeepSystemMatchesPlainRun)|Campaign\.ParallelJobsMatchSerial"
+    "Determinism\.(ParallelMatchesSerial|KeepSystemMatchesPlainRun)|Campaign\.ParallelJobsMatchSerial|FlightRecorder\.SweepTripAppendsOneDocumentForItsOwnSystem"
 
 echo "== ci passed =="

@@ -11,7 +11,9 @@
  *   stats_report --snapshot FILE           inspect a checkpoint file
  *
  * Options (diff mode):
- *   --tolerance=F    relative tolerance per value (default 0 = exact)
+ *   --tolerance=F    relative tolerance per value (default 0 = exact):
+ *                    a finite decimal >= 0 ("0.05", "1e-9"); anything
+ *                    else ("5%", "inf", "-1") exits 2 naming the flag
  *   --ignore=PREFIX  skip keys with this prefix (repeatable)
  *   --include-host   do not auto-ignore the "host." wall-clock stats
  *
@@ -407,6 +409,22 @@ inspectSnapshot(const std::string &path, bool manifest)
     }
 }
 
+/**
+ * A --tolerance value: a finite decimal number >= 0 read whole ("0",
+ * "0.05", "1e-9"). No sign, space, suffix, "inf", "nan" or hex form,
+ * so "5%" cannot quietly mean 500% and "abc" cannot mean exact.
+ */
+bool
+parseTolerance(const char *v, double &out)
+{
+    bool ok = (v[0] >= '0' && v[0] <= '9') || v[0] == '.';
+    for (const char *c = v; ok && *c != '\0'; ++c)
+        ok = (*c >= '0' && *c <= '9') || std::strchr(".eE+-", *c);
+    char *end = nullptr;
+    out = ok ? std::strtod(v, &end) : 0.0;
+    return ok && *end == '\0' && std::isfinite(out);
+}
+
 void
 usage()
 {
@@ -440,7 +458,13 @@ main(int argc, char **argv)
         } else if (arg == "--manifest") {
             manifest = true;
         } else if (arg.rfind("--tolerance=", 0) == 0) {
-            tolerance = std::atof(arg.c_str() + 12);
+            if (!parseTolerance(arg.c_str() + 12, tolerance)) {
+                std::fprintf(stderr,
+                             "stats_report: --tolerance wants a finite "
+                             "decimal number >= 0, got '%s'\n",
+                             arg.c_str() + 12);
+                return 2;
+            }
         } else if (arg.rfind("--ignore=", 0) == 0) {
             ignore.push_back(arg.substr(9));
         } else if (arg == "--include-host") {

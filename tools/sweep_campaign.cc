@@ -15,7 +15,8 @@
  *   --points=N            number of sweep points (default 4)
  *   --app=NAME            application profile (default fft)
  *   --net=KIND            fsoi|mesh|l0|lr1|lr2 (default fsoi)
- *   --cores=N             core count (default 16)
+ *   --cores=N             core count (default 16): a perfect square
+ *                         from 4 to 64 (SystemConfig::paperConfig)
  *   --seed=N              base seed; point i runs seed+i (default 42)
  *   --scale=F             app scale factor (default 0.5)
  *   --jobs=N              concurrent points, 0 = host CPUs (default 1)
